@@ -64,7 +64,7 @@ func main() {
 		deadline  = flag.Duration("deadline", 0, "wall-clock budget for the solve phase; on expiry report a sound envelope instead of failing")
 		budget    = flag.Int("budget", 0, "total simplex-pivot budget across all solves; deterministic anytime cutoff (0 = unlimited)")
 		maxSets   = flag.Int("max-sets", 0, "cap on constraint sets; overflowing disjunctions are soundly widened instead of rejected (0 = default cap, fail on overflow)")
-		certify   = flag.Bool("certify", false, "back every bound with an exact rational check: verify each solve's optimality certificate in big.Rat arithmetic and re-solve unverifiable claims with an exact rational simplex")
+		certify   = flag.Bool("certify", false, "back every bound with an exact rational check: verify each solve's optimality certificate by a sparse exact solve (int64 fractions, promoted to big.Rat on overflow) and re-solve unverifiable claims with an exact rational simplex")
 		mhz       = flag.Float64("mhz", 20, "clock frequency used to report times (the QT960 runs at 20 MHz)")
 		profile   = flag.String("profile", "i960kb", "processor timing profile (i960kb, dsp3210)")
 		kernels   = flag.String("kernels", "all", "solver fast-path kernels: all, network, revised, or tableau (tableau disables both fast paths; routing never changes a bound)")
@@ -332,6 +332,9 @@ func printReport(sess *ipet.Session, est *ipet.Estimate, analyzed string, mhz fl
 			s.WarmSolves, s.ColdSolves, s.Pivots)
 		fmt.Printf("solver: %d network-flow solves, %d revised-kernel pivots, %d refactorizations\n",
 			s.NetworkSolves, s.RevisedPivots, s.Refactorizations)
+		if s.ExactResolves > 0 {
+			fmt.Printf("certify: %d exact re-solves (%v)\n", s.ExactResolves, s.Resolves)
+		}
 		fmt.Printf("solver: build %s, solve %s\n",
 			s.BuildTime.Round(time.Microsecond), s.SolveTime.Round(time.Microsecond))
 		if s.FormulaEvals > 0 || s.ParamFallbacks > 0 {

@@ -211,16 +211,18 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 }
 
 // TestCertifiedBenchmarksIdentical is the certification bit-identity gate
-// on the real Table I programs: a certified dhry/des analysis must report
-// exactly the bounds, counts, and winning sets of the uncertified one at
-// every worker count — the exact layer only confirms, never moves, a
-// healthy solver's answer.
+// on the real Table I programs: a certified analysis of every one of them
+// must report exactly the bounds, counts, and winning sets of the
+// uncertified one at every worker count — the exact layer only confirms,
+// never moves, a healthy solver's answer. fullsearch, recon, fft and matgen
+// carry the bases whose exact solve needs elimination with fill.
 func TestCertifiedBenchmarksIdentical(t *testing.T) {
-	for _, name := range []string{"dhry", "des"} {
-		bm, ok := ByName(name)
-		if !ok {
-			t.Fatalf("unknown benchmark %q", name)
-		}
+	all := All()
+	if len(all) != len(tableIOrder) {
+		t.Fatalf("registry has %d benchmarks, Table I has %d", len(all), len(tableIOrder))
+	}
+	for _, bm := range all {
+		name := bm.Name
 		plainOpts := ipet.DefaultOptions()
 		plainOpts.Workers = 1
 		plainBuilt, err := bm.Build(plainOpts)
@@ -254,6 +256,29 @@ func TestCertifiedBenchmarksIdentical(t *testing.T) {
 					name, workers, w, plain.WCET, b, plain.BCET)
 			}
 		}
+	}
+}
+
+// TestCertifiedResolveCauses pins the cause split of exact re-solves on
+// dhry with null-set pruning off: its five null sets make infeasibility
+// claims in both directions, which carry no certificate, so all ten
+// re-solves count as infeasible.
+func TestCertifiedResolveCauses(t *testing.T) {
+	bm, ok := ByName("dhry")
+	if !ok {
+		t.Fatal("unknown benchmark dhry")
+	}
+	opts := ipet.DefaultOptions()
+	opts.Workers = 1
+	opts.Certify = true
+	opts.PruneNullSets = false
+	bt, err := bm.Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := bt.Est.Stats
+	if want := (ipet.ResolveCauses{Infeasible: 10}); s.ExactResolves != 10 || s.Resolves != want {
+		t.Errorf("dhry: %d exact resolves by cause {%v}, want 10, all infeasible", s.ExactResolves, s.Resolves)
 	}
 }
 

@@ -126,7 +126,10 @@ func exactLP(p *ilp.Problem, extra []ilp.Constraint) (ilp.Status, *big.Rat, []*b
 		}
 	}
 	sf := coldForm(q)
-	cInt := internalObj(q, sf.total)
+	cInt := make([]*big.Rat, sf.total)
+	for j, v := range internalObj(q, sf.total) {
+		cInt[j] = v.rat()
+	}
 
 	if sf.m == 0 {
 		// The origin is the only basic point of the nonnegative orthant.
@@ -148,9 +151,9 @@ func exactLP(p *ilp.Problem, extra []ilp.Constraint) (ilp.Status, *big.Rat, []*b
 	for i := range t.tab {
 		t.tab[i] = ratZeros(sf.total + 1)
 		for k, col := range sf.rows[i].cols {
-			t.tab[i][col].Add(t.tab[i][col], sf.rows[i].vals[k])
+			t.tab[i][col].Add(t.tab[i][col], sf.rows[i].vals[k].bigView())
 		}
-		t.tab[i][sf.total].Set(sf.rows[i].rhs)
+		t.tab[i][sf.total] = sf.rows[i].rhs.rat()
 	}
 
 	artStart := sf.total - sf.numArt
@@ -302,6 +305,14 @@ func (t *exactTab) pivot(row, col int) {
 		}
 	}
 	t.basis[row] = col
+}
+
+func ratZeros(n int) []*big.Rat {
+	z := make([]*big.Rat, n)
+	for i := range z {
+		z[i] = new(big.Rat)
+	}
+	return z
 }
 
 func ratsIntegral(x []*big.Rat) bool {

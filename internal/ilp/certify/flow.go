@@ -2,7 +2,6 @@ package certify
 
 import (
 	"fmt"
-	"math/big"
 
 	"cinderella/internal/ilp"
 )
@@ -39,25 +38,23 @@ func verifyFlow(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 		return nil, fmt.Errorf("certify: flow certificate has %d duals, problem has %d rows", len(cert.Y), m)
 	}
 
-	x := make([]*big.Rat, n)
+	x := make([]num, n)
 	for j, v := range cert.X {
-		x[j] = ratOf(v)
+		x[j] = numFloat(v)
 	}
 	if err := checkOriginalRows(p, x); err != nil {
 		return nil, err
 	}
 	if p.Integer {
-		for j, v := range x {
-			if !v.IsInt() {
-				return nil, fmt.Errorf("certify: x%d = %s is not integral", j, v.RatString())
-			}
+		if err := checkIntegral(x); err != nil {
+			return nil, err
 		}
 	}
 
 	// Row views as stored: relation, rhs, and coefficient walk.
-	y := make([]*big.Rat, m)
+	y := make([]num, m)
 	for i, v := range cert.Y {
-		y[i] = ratOf(v)
+		y[i] = numFloat(v)
 	}
 	rel := func(i int) ilp.Relation {
 		if i < len(p.Prefix) {
@@ -65,21 +62,21 @@ func verifyFlow(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 		}
 		return p.Constraints[i-len(p.Prefix)].Rel
 	}
-	rhs := func(i int) *big.Rat {
+	rhs := func(i int) num {
 		if i < len(p.Prefix) {
-			return ratOf(p.Prefix[i].RHS)
+			return numFloat(p.Prefix[i].RHS)
 		}
-		return ratOf(p.Constraints[i-len(p.Prefix)].RHS)
+		return numFloat(p.Constraints[i-len(p.Prefix)].RHS)
 	}
 	for i := 0; i < m; i++ {
 		switch rel(i) {
 		case ilp.LE:
-			if y[i].Sign() < 0 {
-				return nil, fmt.Errorf("certify: dual y%d = %s is negative on a <= row", i, y[i].RatString())
+			if y[i].sign() < 0 {
+				return nil, fmt.Errorf("certify: dual y%d = %s is negative on a <= row", i, y[i])
 			}
 		case ilp.GE:
-			if y[i].Sign() > 0 {
-				return nil, fmt.Errorf("certify: dual y%d = %s is positive on a >= row", i, y[i].RatString())
+			if y[i].sign() > 0 {
+				return nil, fmt.Errorf("certify: dual y%d = %s is positive on a >= row", i, y[i])
 			}
 		}
 	}
@@ -87,68 +84,45 @@ func verifyFlow(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 	// Dual feasibility: (Aᵀ·Y)_j >= c_j for every real column, in the
 	// internal maximization sense.
 	cInt := internalObj(p, n)
-	yA := ratZeros(n)
-	tmp := new(big.Rat)
-	addRow := func(i int, cols []int, vals []*big.Rat) {
-		if y[i].Sign() == 0 {
-			return
-		}
-		for k, col := range cols {
-			tmp.Mul(y[i], vals[k])
-			yA[col].Add(yA[col], tmp)
-		}
-	}
+	yA := make([]num, n)
 	for i := range p.Prefix {
-		r := &p.Prefix[i]
-		cols := make([]int, len(r.Cols))
-		vals := make([]*big.Rat, len(r.Cols))
-		for k, col := range r.Cols {
-			cols[k] = int(col)
-			vals[k] = ratOf(r.Vals[k])
+		if y[i].isZero() {
+			continue
 		}
-		addRow(i, cols, vals)
+		r := &p.Prefix[i]
+		for k, col := range r.Cols {
+			yA[col] = add(yA[col], mul(y[i], numFloat(r.Vals[k])))
+		}
 	}
 	for ci := range p.Constraints {
-		c := &p.Constraints[ci]
-		cols := sortedCols(c.Coeffs)
-		vals := make([]*big.Rat, len(cols))
-		for k, j := range cols {
-			vals[k] = ratOf(c.Coeffs[j])
+		yi := y[len(p.Prefix)+ci]
+		if yi.isZero() {
+			continue
 		}
-		addRow(len(p.Prefix)+ci, cols, vals)
+		for j, v := range p.Constraints[ci].Coeffs {
+			yA[j] = add(yA[j], mul(yi, numFloat(v)))
+		}
 	}
 	for j := 0; j < n; j++ {
-		if yA[j].Cmp(cInt[j]) < 0 {
-			return nil, fmt.Errorf("certify: flow dual is infeasible at column %d (yᵀA = %s < c = %s)", j, yA[j].RatString(), cInt[j].RatString())
+		if cmp(yA[j], cInt[j]) < 0 {
+			return nil, fmt.Errorf("certify: flow dual is infeasible at column %d (yᵀA = %s < c = %s)", j, yA[j], cInt[j])
 		}
 	}
 
 	// Strong duality: Yᵀ·b == cᵀ·X.
-	dual := new(big.Rat)
+	var dual, primal num
 	for i := 0; i < m; i++ {
-		if y[i].Sign() == 0 {
-			continue
+		if !y[i].isZero() {
+			dual = add(dual, mul(y[i], rhs(i)))
 		}
-		tmp.Mul(y[i], rhs(i))
-		dual.Add(dual, tmp)
 	}
-	primal := new(big.Rat)
 	for j := 0; j < n; j++ {
-		if cInt[j].Sign() == 0 {
-			continue
+		if !cInt[j].isZero() {
+			primal = add(primal, mul(cInt[j], x[j]))
 		}
-		tmp.Mul(cInt[j], x[j])
-		primal.Add(primal, tmp)
 	}
-	if primal.Cmp(dual) != 0 {
-		return nil, fmt.Errorf("certify: flow duality gap (primal %s, dual %s)", primal.RatString(), dual.RatString())
+	if cmp(primal, dual) != 0 {
+		return nil, fmt.Errorf("certify: flow duality gap (primal %s, dual %s)", primal, dual)
 	}
-
-	obj := new(big.Rat)
-	for j, v := range p.Objective {
-		tmp.SetFloat64(v)
-		tmp.Mul(tmp, x[j])
-		obj.Add(obj, tmp)
-	}
-	return &Result{Objective: obj, X: x}, nil
+	return result(p, x), nil
 }

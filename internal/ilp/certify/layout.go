@@ -1,9 +1,14 @@
 // Package certify is the exact verification layer of the float64 simplex
 // kernels: it re-checks a reported optimum against the optimal-basis
-// certificate the solver emitted (ilp.Certificate), entirely in rational
-// arithmetic (math/big.Rat, to which every float64 coefficient converts
-// exactly), and provides an exact rational simplex fallback for solves the
-// certificate cannot vouch for.
+// certificate the solver emitted (ilp.Certificate), entirely in exact
+// rational arithmetic, and provides an exact rational simplex fallback for
+// solves the certificate cannot vouch for.
+//
+// The checker's scalar is num: an int64 fraction that promotes a value to
+// math/big.Rat when an operation would overflow, so the small integer rows
+// of IPET problems never leave machine arithmetic while no input, however
+// large or fractional, is ever rounded. Every float64 coefficient converts
+// exactly.
 //
 // The checker never trusts solver-computed numbers: it rebuilds the
 // standard form itself from the Problem using the same deterministic
@@ -17,7 +22,6 @@ package certify
 
 import (
 	"fmt"
-	"math/big"
 
 	"cinderella/internal/ilp"
 )
@@ -25,8 +29,8 @@ import (
 // stdRow is one row of the exact standard form A·x = b over x >= 0.
 type stdRow struct {
 	cols []int
-	vals []*big.Rat
-	rhs  *big.Rat
+	vals []num
+	rhs  num
 }
 
 // stdForm is the exact standard form of a Problem under one of the two
@@ -50,12 +54,6 @@ type stdForm struct {
 	numArt int
 }
 
-func ratOf(f float64) *big.Rat {
-	r := new(big.Rat)
-	r.SetFloat64(f) // exact: Validate rejected NaN/Inf
-	return r
-}
-
 // normRel flips a raw constraint into the sign-normalized form the solvers
 // lower (RHS >= 0, LE/GE swapped when the RHS was negative).
 func normRel(rel ilp.Relation, rhs float64) (ilp.Relation, bool) {
@@ -77,49 +75,20 @@ func normRel(rel ilp.Relation, rhs float64) (ilp.Relation, bool) {
 // assigned in row order exactly as the sparse and dense kernels do.
 func coldForm(p *ilp.Problem) *stdForm {
 	n := p.NumVars
-	type spec struct {
-		cols []int
-		vals []*big.Rat
-		rel  ilp.Relation
-		rhs  *big.Rat
-	}
-	specs := make([]spec, 0, len(p.Prefix)+len(p.Constraints))
+	m := len(p.Prefix) + len(p.Constraints)
+	rels := make([]ilp.Relation, m)
+	nnz, numSlack, numArt := 0, 0, 0
 	for i := range p.Prefix {
-		r := &p.Prefix[i]
-		s := spec{rel: r.Rel, rhs: ratOf(r.RHS)}
-		for k, col := range r.Cols {
-			s.cols = append(s.cols, int(col))
-			s.vals = append(s.vals, ratOf(r.Vals[k]))
-		}
-		specs = append(specs, s)
+		rels[i] = p.Prefix[i].Rel
+		nnz += len(p.Prefix[i].Cols)
 	}
 	for i := range p.Constraints {
 		c := &p.Constraints[i]
-		rel, neg := normRel(c.Rel, c.RHS)
-		rhs := c.RHS
-		if neg {
-			rhs = -rhs
-		}
-		s := spec{rel: rel, rhs: ratOf(rhs)}
-		// Iterate columns in sorted order for determinism of the row's
-		// sparse form; the column assignment below depends only on rel.
-		for _, j := range sortedCols(c.Coeffs) {
-			v := c.Coeffs[j]
-			if v == 0 {
-				continue
-			}
-			if neg {
-				v = -v
-			}
-			s.cols = append(s.cols, j)
-			s.vals = append(s.vals, ratOf(v))
-		}
-		specs = append(specs, s)
+		rels[len(p.Prefix)+i], _ = normRel(c.Rel, c.RHS)
+		nnz += len(c.Coeffs)
 	}
-
-	numSlack, numArt := 0, 0
-	for i := range specs {
-		switch specs[i].rel {
+	for _, rel := range rels {
+		switch rel {
 		case ilp.LE:
 			numSlack++
 		case ilp.GE:
@@ -130,44 +99,75 @@ func coldForm(p *ilp.Problem) *stdForm {
 		}
 	}
 	sf := &stdForm{
-		n:      n,
-		total:  n + numSlack + numArt,
-		m:      len(specs),
-		numArt: numArt,
+		n:         n,
+		total:     n + numSlack + numArt,
+		m:         m,
+		numArt:    numArt,
+		rows:      make([]stdRow, m),
+		initBasis: make([]int, m),
 	}
 	sf.isArt = make([]bool, sf.total)
 	for j := n + numSlack; j < sf.total; j++ {
 		sf.isArt[j] = true
 	}
-	sf.rows = make([]stdRow, sf.m)
-	sf.initBasis = make([]int, sf.m)
+
+	// One arena holds every row's entries; each row's slices are capped at
+	// its own length so that no append can reach a neighbour.
+	cols := make([]int, 0, nnz+numSlack+numArt)
+	vals := make([]num, 0, nnz+numSlack+numArt)
 	slackCol, artCol := n, n+numSlack
-	one := big.NewRat(1, 1)
-	negOne := big.NewRat(-1, 1)
-	for i := range specs {
-		s := &specs[i]
-		row := stdRow{cols: s.cols, vals: s.vals, rhs: s.rhs}
-		switch s.rel {
+	one, negOne := numInt(1), numInt(-1)
+	for i := range rels {
+		lo := len(cols)
+		var rhs num
+		if i < len(p.Prefix) {
+			r := &p.Prefix[i]
+			rhs = numFloat(r.RHS)
+			for k, col := range r.Cols {
+				cols = append(cols, int(col))
+				vals = append(vals, numFloat(r.Vals[k]))
+			}
+		} else {
+			c := &p.Constraints[i-len(p.Prefix)]
+			_, neg := normRel(c.Rel, c.RHS)
+			rhs = numFloat(c.RHS)
+			if neg {
+				rhs = rhs.neg()
+			}
+			// Sorted columns keep the row's sparse form deterministic; the
+			// column assignment below depends only on the relation.
+			for _, j := range sortedCols(c.Coeffs) {
+				v := c.Coeffs[j]
+				if v == 0 {
+					continue
+				}
+				if neg {
+					v = -v
+				}
+				cols = append(cols, j)
+				vals = append(vals, numFloat(v))
+			}
+		}
+		switch rels[i] {
 		case ilp.LE:
-			row.cols = append(row.cols, slackCol)
-			row.vals = append(row.vals, one)
+			cols = append(cols, slackCol)
+			vals = append(vals, one)
 			sf.initBasis[i] = slackCol
 			slackCol++
 		case ilp.GE:
-			row.cols = append(row.cols, slackCol)
-			row.vals = append(row.vals, negOne)
-			slackCol++
-			row.cols = append(row.cols, artCol)
-			row.vals = append(row.vals, one)
+			cols = append(cols, slackCol, artCol)
+			vals = append(vals, negOne, one)
 			sf.initBasis[i] = artCol
+			slackCol++
 			artCol++
 		case ilp.EQ:
-			row.cols = append(row.cols, artCol)
-			row.vals = append(row.vals, one)
+			cols = append(cols, artCol)
+			vals = append(vals, one)
 			sf.initBasis[i] = artCol
 			artCol++
 		}
-		sf.rows[i] = row
+		hi := len(cols)
+		sf.rows[i] = stdRow{cols: cols[lo:hi:hi], vals: vals[lo:hi:hi], rhs: rhs}
 	}
 	return sf
 }
@@ -180,24 +180,21 @@ func coldForm(p *ilp.Problem) *stdForm {
 // constant row is a contradiction: such a set reports Infeasible without a
 // tableau and can never have produced a certificate.
 func warmForm(p *ilp.Problem) (*stdForm, error) {
-	base := coldForm(&ilp.Problem{
+	sf := coldForm(&ilp.Problem{
 		Sense:     p.Sense,
 		NumVars:   p.NumVars,
 		Objective: p.Objective,
 		Prefix:    p.Prefix,
 	})
-	type delta struct {
-		cols []int
-		vals []*big.Rat
-		rhs  *big.Rat
-	}
-	var deltas []delta
+	one := numInt(1)
 	lower := func(c *ilp.Constraint, negate bool) {
-		d := delta{rhs: ratOf(c.RHS)}
+		cols := sortedCols(c.Coeffs)
+		row := stdRow{rhs: numFloat(c.RHS), vals: make([]num, 0, len(cols)+1)}
 		if negate {
-			d.rhs.Neg(d.rhs)
+			row.rhs = row.rhs.neg()
 		}
-		for _, j := range sortedCols(c.Coeffs) {
+		n := 0
+		for _, j := range cols {
 			v := c.Coeffs[j]
 			if v == 0 {
 				continue
@@ -205,10 +202,16 @@ func warmForm(p *ilp.Problem) (*stdForm, error) {
 			if negate {
 				v = -v
 			}
-			d.cols = append(d.cols, j)
-			d.vals = append(d.vals, ratOf(v))
+			cols[n] = j
+			n++
+			row.vals = append(row.vals, numFloat(v))
 		}
-		deltas = append(deltas, d)
+		row.cols = append(cols[:n], sf.total)
+		row.vals = append(row.vals, one)
+		sf.rows = append(sf.rows, row)
+		sf.isArt = append(sf.isArt, false)
+		sf.total++
+		sf.m++
 	}
 	for i := range p.Constraints {
 		c := &p.Constraints[i]
@@ -228,27 +231,6 @@ func warmForm(p *ilp.Problem) (*stdForm, error) {
 			lower(c, false)
 			lower(c, true)
 		}
-	}
-
-	k := len(deltas)
-	sf := &stdForm{
-		n:      base.n,
-		total:  base.total + k,
-		m:      base.m + k,
-		numArt: base.numArt,
-	}
-	sf.isArt = make([]bool, sf.total)
-	copy(sf.isArt, base.isArt)
-	sf.rows = make([]stdRow, 0, sf.m)
-	sf.rows = append(sf.rows, base.rows...)
-	one := big.NewRat(1, 1)
-	for i, d := range deltas {
-		slack := base.total + i
-		sf.rows = append(sf.rows, stdRow{
-			cols: append(d.cols, slack),
-			vals: append(d.vals, one),
-			rhs:  d.rhs,
-		})
 	}
 	return sf, nil
 }
@@ -271,16 +253,13 @@ func sortedCols(coeffs map[int]float64) []int {
 // internalObj is the objective in the solver's internal maximization sense
 // over standard-form columns: sign * Objective on real columns, zero on
 // auxiliary ones.
-func internalObj(p *ilp.Problem, total int) []*big.Rat {
-	c := make([]*big.Rat, total)
-	for j := range c {
-		c[j] = new(big.Rat)
-	}
+func internalObj(p *ilp.Problem, total int) []num {
+	c := make([]num, total)
 	neg := p.Sense == ilp.Minimize
 	for j, v := range p.Objective {
-		c[j].SetFloat64(v)
+		c[j] = numFloat(v)
 		if neg {
-			c[j].Neg(c[j])
+			c[j] = c[j].neg()
 		}
 	}
 	return c

@@ -35,7 +35,9 @@ type Result struct {
 //
 // Verify rebuilds the standard form from p itself (cold or warm lowering
 // per cert.Warm); the certificate contributes only the basis column
-// indices, so it cannot misrepresent the feasible region.
+// indices, so it cannot misrepresent the feasible region. The basic
+// solution and the dual prices come from two sparse exact solves, one on
+// B and one on Bᵀ (solveSparse), in num arithmetic.
 func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 	if cert == nil {
 		return nil, fmt.Errorf("certify: no certificate")
@@ -64,44 +66,35 @@ func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 	if len(cert.Basis) != sf.m {
 		return nil, fmt.Errorf("certify: basis names %d rows, standard form has %d", len(cert.Basis), sf.m)
 	}
-	seen := make(map[int]int, sf.m) // column -> basis position
+	pos := make([]int, sf.total) // column -> basis position, -1 when nonbasic
+	for j := range pos {
+		pos[j] = -1
+	}
 	for i, j := range cert.Basis {
 		if j < 0 || j >= sf.total {
 			return nil, fmt.Errorf("certify: basis column %d out of range [0,%d)", j, sf.total)
 		}
-		if _, dup := seen[j]; dup {
+		if pos[j] >= 0 {
 			return nil, fmt.Errorf("certify: column %d basic in two rows", j)
 		}
-		seen[j] = i
+		pos[j] = i
 	}
 
-	// Basis matrix B (column i = standard-form column cert.Basis[i]), its
-	// transpose, and the right-hand side. Both copies are built up front:
-	// gaussSolve consumes its matrix.
-	B := make([][]*big.Rat, sf.m)
-	Bt := make([][]*big.Rat, sf.m)
-	b := make([]*big.Rat, sf.m)
-	for r := range B {
-		B[r] = ratZeros(sf.m)
-		Bt[r] = ratZeros(sf.m)
+	// The basis matrix B (column i = standard-form column cert.Basis[i])
+	// and its transpose, both sparse, and the right-hand side. Both copies
+	// are built up front: solveSparse consumes its matrix.
+	B, Bt := basisMatrices(sf, pos)
+	b := make([]num, sf.m)
+	for r := range sf.rows {
+		b[r] = sf.rows[r].rhs
 	}
-	for r := range B {
-		b[r] = new(big.Rat).Set(sf.rows[r].rhs)
-		for k, col := range sf.rows[r].cols {
-			if i, basic := seen[col]; basic {
-				B[r][i].Add(B[r][i], sf.rows[r].vals[k])
-				Bt[i][r].Add(Bt[i][r], sf.rows[r].vals[k])
-			}
-		}
-	}
-
-	xB, ok := gaussSolve(B, b)
+	xB, ok := solveSparse(B, b)
 	if !ok {
 		return nil, fmt.Errorf("certify: basis matrix is singular")
 	}
 	for i, v := range xB {
-		if v.Sign() < 0 {
-			return nil, fmt.Errorf("certify: basic variable for column %d is negative (%s)", cert.Basis[i], v.RatString())
+		if v.sign() < 0 {
+			return nil, fmt.Errorf("certify: basic variable for column %d is negative (%s)", cert.Basis[i], v)
 		}
 	}
 
@@ -109,160 +102,156 @@ func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 	// original rows. This is load-bearing, not belt-and-braces: a leftover
 	// artificial basic at a nonzero value satisfies the standard form but
 	// not the original row it patches.
-	x := ratZeros(sf.n)
+	x := make([]num, sf.n)
 	for i, j := range cert.Basis {
 		if j < sf.n {
-			x[j].Set(xB[i])
+			x[j] = xB[i]
 		}
 	}
 	if err := checkOriginalRows(p, x); err != nil {
 		return nil, err
 	}
 	if p.Integer {
-		for j, v := range x {
-			if !v.IsInt() {
-				return nil, fmt.Errorf("certify: x%d = %s is not integral", j, v.RatString())
-			}
+		if err := checkIntegral(x); err != nil {
+			return nil, err
 		}
 	}
 
 	// Dual prices y solve Bᵀy = c_B; reduced costs must be nonpositive on
 	// every admissible (non-artificial) nonbasic column.
 	cInt := internalObj(p, sf.total)
-	cB := make([]*big.Rat, sf.m)
+	cB := make([]num, sf.m)
 	for r := range cB {
-		cB[r] = new(big.Rat).Set(cInt[cert.Basis[r]])
+		cB[r] = cInt[cert.Basis[r]]
 	}
-	y, ok := gaussSolve(Bt, cB)
+	y, ok := solveSparse(Bt, cB)
 	if !ok {
 		return nil, fmt.Errorf("certify: basis matrix is singular (dual)")
 	}
-	yA := ratZeros(sf.total)
-	tmp := new(big.Rat)
+	yA := make([]num, sf.total)
 	for r := range sf.rows {
-		if y[r].Sign() == 0 {
+		if y[r].isZero() {
 			continue
 		}
 		for k, col := range sf.rows[r].cols {
-			tmp.Mul(y[r], sf.rows[r].vals[k])
-			yA[col].Add(yA[col], tmp)
+			yA[col] = add(yA[col], mul(y[r], sf.rows[r].vals[k]))
 		}
 	}
 	for j := 0; j < sf.total; j++ {
-		if sf.isArt[j] {
+		if sf.isArt[j] || pos[j] >= 0 {
 			continue
 		}
-		if _, basic := seen[j]; basic {
-			continue
-		}
-		rc := new(big.Rat).Sub(cInt[j], yA[j])
-		if rc.Sign() > 0 {
-			return nil, fmt.Errorf("certify: nonbasic column %d has positive reduced cost %s; basis is not optimal", j, rc.RatString())
+		if cmp(cInt[j], yA[j]) > 0 {
+			return nil, fmt.Errorf("certify: nonbasic column %d has positive reduced cost %s; basis is not optimal", j, sub(cInt[j], yA[j]))
 		}
 	}
-
-	obj := new(big.Rat)
-	for j, v := range p.Objective {
-		tmp.SetFloat64(v)
-		tmp.Mul(tmp, x[j])
-		obj.Add(obj, tmp)
-	}
-	return &Result{Objective: obj, X: x}, nil
+	return result(p, x), nil
 }
 
-// checkOriginalRows verifies x >= 0 and every Prefix/Constraints row of p
-// at x, exactly.
-func checkOriginalRows(p *ilp.Problem, x []*big.Rat) error {
+// basisMatrices returns the rows of the basis matrix B, whose column i is
+// the standard-form column basic in row i (pos maps a column to its basis
+// position, -1 when nonbasic), and the rows of Bᵀ. Each matrix keeps its
+// entries in one arena, every row capped at its own length so that the
+// fill of elimination reallocates only the rows it grows.
+func basisMatrices(sf *stdForm, pos []int) (B, Bt []sparseRow) {
+	B, Bt = make([]sparseRow, sf.m), make([]sparseRow, sf.m)
+	rowLen, colLen := make([]int, sf.m), make([]int, sf.m)
+	nnz := 0
+	for r := range sf.rows {
+		for _, col := range sf.rows[r].cols {
+			if i := pos[col]; i >= 0 {
+				rowLen[r]++
+				colLen[i]++
+				nnz++
+			}
+		}
+	}
+	carve := func(rows []sparseRow, lens []int) {
+		cols, vals := make([]int, nnz), make([]num, nnz)
+		off := 0
+		for r, n := range lens {
+			rows[r] = sparseRow{cols: cols[off : off : off+n], vals: vals[off : off : off+n]}
+			off += n
+		}
+	}
+	carve(B, rowLen)
+	carve(Bt, colLen)
+	for r := range sf.rows {
+		for k, col := range sf.rows[r].cols {
+			if i := pos[col]; i >= 0 {
+				v := sf.rows[r].vals[k]
+				B[r].cols = append(B[r].cols, i)
+				B[r].vals = append(B[r].vals, v)
+				Bt[i].cols = append(Bt[i].cols, r)
+				Bt[i].vals = append(Bt[i].vals, v)
+			}
+		}
+	}
+	return B, Bt
+}
+
+// result packages a checked assignment as a Result: the objective in the
+// problem's own sense and the assignment, as big.Rat.
+func result(p *ilp.Problem, x []num) *Result {
+	var obj num
+	for j, v := range p.Objective {
+		obj = add(obj, mul(numFloat(v), x[j]))
+	}
+	res := &Result{Objective: obj.rat(), X: make([]*big.Rat, len(x))}
+	backing := make([]big.Rat, len(x))
 	for j, v := range x {
-		if v.Sign() < 0 {
-			return fmt.Errorf("certify: x%d = %s is negative", j, v.RatString())
-		}
+		res.X[j] = v.setRat(&backing[j])
 	}
-	lhs := new(big.Rat)
-	tmp := new(big.Rat)
-	holds := func(rel ilp.Relation, rhs *big.Rat) bool {
-		switch rel {
-		case ilp.LE:
-			return lhs.Cmp(rhs) <= 0
-		case ilp.GE:
-			return lhs.Cmp(rhs) >= 0
-		}
-		return lhs.Cmp(rhs) == 0
-	}
-	for ri := range p.Prefix {
-		r := &p.Prefix[ri]
-		lhs.SetInt64(0)
-		for k, col := range r.Cols {
-			tmp.SetFloat64(r.Vals[k])
-			tmp.Mul(tmp, x[col])
-			lhs.Add(lhs, tmp)
-		}
-		if !holds(r.Rel, ratOf(r.RHS)) {
-			return fmt.Errorf("certify: solution violates prefix row %d", ri)
-		}
-	}
-	for ci := range p.Constraints {
-		c := &p.Constraints[ci]
-		lhs.SetInt64(0)
-		for j, v := range c.Coeffs {
-			tmp.SetFloat64(v)
-			tmp.Mul(tmp, x[j])
-			lhs.Add(lhs, tmp)
-		}
-		if !holds(c.Rel, ratOf(c.RHS)) {
-			return fmt.Errorf("certify: solution violates constraint %d (%s)", ci, c.Name)
+	return res
+}
+
+// checkIntegral verifies that every entry of x is an integer.
+func checkIntegral(x []num) error {
+	for j, v := range x {
+		if !v.isInt() {
+			return fmt.Errorf("certify: x%d = %s is not integral", j, v)
 		}
 	}
 	return nil
 }
 
-func ratZeros(n int) []*big.Rat {
-	z := make([]*big.Rat, n)
-	for i := range z {
-		z[i] = new(big.Rat)
-	}
-	return z
-}
-
-// gaussSolve solves M·z = rhs by Gaussian elimination with nonzero
-// pivoting, consuming M and rhs. Returns ok=false when M is singular.
-func gaussSolve(M [][]*big.Rat, rhs []*big.Rat) ([]*big.Rat, bool) {
-	m := len(M)
-	tmp := new(big.Rat)
-	for col := 0; col < m; col++ {
-		pr := -1
-		for r := col; r < m; r++ {
-			if M[r][col].Sign() != 0 {
-				pr = r
-				break
-			}
-		}
-		if pr < 0 {
-			return nil, false
-		}
-		M[col], M[pr] = M[pr], M[col]
-		rhs[col], rhs[pr] = rhs[pr], rhs[col]
-		inv := new(big.Rat).Inv(M[col][col])
-		for j := col; j < m; j++ {
-			M[col][j].Mul(M[col][j], inv)
-		}
-		rhs[col].Mul(rhs[col], inv)
-		for r := 0; r < m; r++ {
-			if r == col {
-				continue
-			}
-			f := M[r][col]
-			if f.Sign() == 0 {
-				continue
-			}
-			f = new(big.Rat).Set(f)
-			for j := col; j < m; j++ {
-				tmp.Mul(f, M[col][j])
-				M[r][j].Sub(M[r][j], tmp)
-			}
-			tmp.Mul(f, rhs[col])
-			rhs[r].Sub(rhs[r], tmp)
+// checkOriginalRows verifies x >= 0 and every Prefix/Constraints row of p
+// at x, exactly.
+func checkOriginalRows(p *ilp.Problem, x []num) error {
+	for j, v := range x {
+		if v.sign() < 0 {
+			return fmt.Errorf("certify: x%d = %s is negative", j, v)
 		}
 	}
-	return rhs, true
+	holds := func(rel ilp.Relation, lhs num, rhs float64) bool {
+		c := cmp(lhs, numFloat(rhs))
+		switch rel {
+		case ilp.LE:
+			return c <= 0
+		case ilp.GE:
+			return c >= 0
+		}
+		return c == 0
+	}
+	for ri := range p.Prefix {
+		r := &p.Prefix[ri]
+		var lhs num
+		for k, col := range r.Cols {
+			lhs = add(lhs, mul(numFloat(r.Vals[k]), x[col]))
+		}
+		if !holds(r.Rel, lhs, r.RHS) {
+			return fmt.Errorf("certify: solution violates prefix row %d", ri)
+		}
+	}
+	for ci := range p.Constraints {
+		c := &p.Constraints[ci]
+		var lhs num
+		for j, v := range c.Coeffs {
+			lhs = add(lhs, mul(numFloat(v), x[j]))
+		}
+		if !holds(c.Rel, lhs, c.RHS) {
+			return fmt.Errorf("certify: solution violates constraint %d (%s)", ci, c.Name)
+		}
+	}
+	return nil
 }

@@ -115,6 +115,9 @@ func TestCertifyInfeasibleClaims(t *testing.T) {
 	if cert.Stats.ExactResolves == 0 {
 		t.Errorf("infeasibility claims were not exact-resolved: %+v", cert.Stats)
 	}
+	if want := (ResolveCauses{Infeasible: cert.Stats.ExactResolves}); cert.Stats.Resolves != want {
+		t.Errorf("exact resolves by cause {%v}, want all infeasible", cert.Stats.Resolves)
+	}
 	if cert.WCET.RecheckedSets == 0 || cert.BCET.RecheckedSets == 0 {
 		t.Errorf("expected rechecked sets in both directions: %+v / %+v", cert.WCET, cert.BCET)
 	}
@@ -204,8 +207,14 @@ func TestCertifyFaultInjection(t *testing.T) {
 			if tc.wantCertFail && est.Stats.CertFailures == 0 {
 				t.Errorf("expected rejected certificates, got stats %+v", est.Stats)
 			}
-			t.Logf("recovered: %d exact resolves, %d certificate failures, %d suspect pivots",
-				est.Stats.ExactResolves, est.Stats.CertFailures, est.Stats.SuspectPivots)
+			// A fault shows as a rejected certificate or as suspect pivots,
+			// never as a claim the solver could not certify anyway.
+			if c := est.Stats.Resolves; c.Suspect+c.Rejected != est.Stats.ExactResolves {
+				t.Errorf("exact resolves %d by cause {%v}, want all rejected or suspect",
+					est.Stats.ExactResolves, c)
+			}
+			t.Logf("recovered: %d exact resolves (%v), %d certificate failures, %d suspect pivots",
+				est.Stats.ExactResolves, est.Stats.Resolves, est.Stats.CertFailures, est.Stats.SuspectPivots)
 		})
 	}
 }

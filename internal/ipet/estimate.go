@@ -125,7 +125,9 @@ type Stats struct {
 	CertFailures int
 	// ExactResolves counts exact rational re-solves performed under
 	// Options.Certify: one per claim without a verifiable certificate.
+	// Resolves splits it by cause and always sums to it.
 	ExactResolves int
+	Resolves      ResolveCauses
 	// FormulaEvals counts queries of this report answered by a parametric
 	// piecewise-linear formula with no simplex work (ParamBound.EstimateAt);
 	// ParamRegions is the formula's total piece count; ParamFallbacks counts
@@ -142,6 +144,71 @@ type Stats struct {
 	// time and are zero in per-Estimate stats.
 	ArtifactHits   int
 	ArtifactMisses int
+}
+
+// ResolveCauses splits Stats.ExactResolves by why a float64 claim could
+// not stand on a verified certificate; each exact re-solve counts under
+// exactly one cause, taken in the order of the fields.
+type ResolveCauses struct {
+	// Suspect counts claims whose solve crossed numerically suspect
+	// pivots; their certificates are not consulted.
+	Suspect int
+	// Rejected counts claims found wrong: the exact checker refused their
+	// certificate, or the exact re-solve overturned them (another status,
+	// or another optimum than the claim or an already certified bound).
+	Rejected int
+	// Infeasible counts infeasibility claims and Dominated counts
+	// incumbent-domination claims; neither kind carries a certificate.
+	Infeasible int
+	Dominated  int
+	// MissingCert counts the remaining claims that carried no certificate:
+	// optima found by branch and bound, and unboundedness claims.
+	MissingCert int
+}
+
+// note counts one exact re-solve of a claim with the given status.
+func (c *ResolveCauses) note(status ilp.Status, suspect, rejected bool) {
+	switch {
+	case suspect:
+		c.Suspect++
+	case rejected:
+		c.Rejected++
+	case status == ilp.Infeasible:
+		c.Infeasible++
+	case status == ilp.Dominated:
+		c.Dominated++
+	default:
+		c.MissingCert++
+	}
+}
+
+func (c ResolveCauses) total() int {
+	return c.Suspect + c.Rejected + c.Infeasible + c.Dominated + c.MissingCert
+}
+
+func (c *ResolveCauses) add(d ResolveCauses) {
+	c.Suspect += d.Suspect
+	c.Rejected += d.Rejected
+	c.Infeasible += d.Infeasible
+	c.Dominated += d.Dominated
+	c.MissingCert += d.MissingCert
+}
+
+// String lists the nonzero causes, as in "infeasible 10, rejected 2".
+func (c ResolveCauses) String() string {
+	var parts []string
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"suspect", c.Suspect}, {"rejected", c.Rejected}, {"infeasible", c.Infeasible},
+		{"dominated", c.Dominated}, {"missing certificate", c.MissingCert},
+	} {
+		if f.n > 0 {
+			parts = append(parts, fmt.Sprintf("%s %d", f.name, f.n))
+		}
+	}
+	return strings.Join(parts, ", ")
 }
 
 // Estimate is the full result of a timing analysis: the estimated bound
@@ -624,12 +691,12 @@ type solveResult struct {
 	crashed  bool
 	crashMsg string
 	// certified marks a claim backed by an exact rational check (verified
-	// certificate or exact re-solve); certFailures and exactResolves count
-	// the certificate layer's work on this claim. All zero without
+	// certificate or exact re-solve); certFailures and resolves count the
+	// certificate layer's work on this claim. All zero without
 	// Options.Certify.
-	certified     bool
-	certFailures  int
-	exactResolves int
+	certified    bool
+	certFailures int
+	resolves     ResolveCauses
 }
 
 // testCrashJob, when set to j+1, makes solve job j panic — the test hook
@@ -750,7 +817,8 @@ func (a *Analyzer) solveSet(ctx context.Context, d *direction, set []ilp.Constra
 // rational simplex, and the float claim is replaced wholesale by the exact
 // outcome. Either way the resulting claim is exactly right.
 func (a *Analyzer) certifyOutcome(ctx context.Context, r *solveResult, p *ilp.Problem, cert *ilp.Certificate) error {
-	if r.status == ilp.Optimal && cert != nil && r.stats.SuspectPivots == 0 {
+	suspect := r.stats.SuspectPivots > 0
+	if r.status == ilp.Optimal && cert != nil && !suspect {
 		if res, err := certify.Verify(p, cert); err == nil {
 			if ex, ok := ratInt64(res.Objective); ok && ex == r.cycles {
 				r.certified = true
@@ -762,19 +830,27 @@ func (a *Analyzer) certifyOutcome(ctx context.Context, r *solveResult, p *ilp.Pr
 		}
 		r.certFailures++
 	}
-	r.exactResolves++
 	exr, err := certify.SolveExact(ctx, p)
 	if err != nil {
 		return err
 	}
+	var ex int64
+	if exr.Status == ilp.Optimal {
+		var ok bool
+		if ex, ok = ratInt64(exr.Objective); !ok {
+			return fmt.Errorf("ipet: exact optimum %s is not an integer cycle count", exr.Objective.RatString())
+		}
+	}
+	// A claim the exact outcome overturns was wrong, not merely without a
+	// certificate. Domination claims are judged against a cutoff the exact
+	// solve does not see, so they are never overturned here.
+	overturned := r.status != ilp.Dominated &&
+		(exr.Status != r.status || exr.Status == ilp.Optimal && ex != r.cycles)
+	r.resolves.note(r.status, suspect, r.certFailures > 0 || overturned)
 	r.stats.LPSolves += exr.LPSolves
 	r.status = exr.Status
 	r.certified = true
 	if exr.Status == ilp.Optimal {
-		ex, ok := ratInt64(exr.Objective)
-		if !ok {
-			return fmt.Errorf("ipet: exact optimum %s is not an integer cycle count", exr.Objective.RatString())
-		}
 		r.cycles = ex
 		r.values = ratFloats(exr.X)
 		r.stats.RootIntegral = exr.RootIntegral
@@ -970,7 +1046,8 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 		// a re-solve that contradicts the (already certified) winning bound —
 		// falls back to the exact solver, whose optimum must agree.
 		certOK := false
-		if ok && sol.Cert != nil && sol.Stats.SuspectPivots == 0 {
+		suspect := sol.Stats.SuspectPivots > 0
+		if ok && sol.Cert != nil && !suspect {
 			if res, verr := certify.Verify(p, sol.Cert); verr == nil {
 				if ex, exOK := ratInt64(res.Objective); exOK && ex == best.Cycles {
 					certOK = true
@@ -982,6 +1059,9 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 		}
 		if !certOK {
 			est.Stats.ExactResolves++
+			// Rejected: a claim other than the certified bound (with a
+			// certificate or not), or a right claim whose certificate failed.
+			est.Stats.Resolves.note(sol.Status, suspect, !ok || sol.Cert != nil)
 			exr, err := certify.SolveExact(ctx, p)
 			if err != nil {
 				return err
@@ -1295,7 +1375,8 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 		est.Stats.RevisedPivots += r.stats.RevisedPivots
 		est.Stats.Refactorizations += r.stats.Refactorizations
 		est.Stats.CertFailures += r.certFailures
-		est.Stats.ExactResolves += r.exactResolves
+		est.Stats.ExactResolves += r.resolves.total()
+		est.Stats.Resolves.add(r.resolves)
 		if r.warm {
 			est.Stats.WarmSolves++
 		}
@@ -1344,7 +1425,7 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 			rechecked := 0
 			for k := 0; k < nd; k++ {
 				r := &results[d*nd+k]
-				if r.exactResolves > 0 {
+				if r.resolves.total() > 0 {
 					rechecked++
 				}
 				if !r.done || r.unsolved || !r.certified {

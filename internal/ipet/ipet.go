@@ -81,7 +81,7 @@ type Options struct {
 	// are not launched and report through the sound envelope, exactly as
 	// under Deadline but deterministically. Zero means unlimited.
 	Budget int
-	// Certify backs every reported bound with an exact math/big.Rat check:
+	// Certify backs every reported bound with an exact rational check:
 	// each per-set float64 solve must produce an optimal-basis certificate
 	// that verifies in exact rational arithmetic (feasibility of the basic
 	// solution against the original rows, nonpositive reduced costs, and

@@ -152,6 +152,7 @@ func (t *SessionTotals) accumulate(est *Estimate) {
 	s.SuspectPivots += d.SuspectPivots
 	s.CertFailures += d.CertFailures
 	s.ExactResolves += d.ExactResolves
+	s.Resolves.add(d.Resolves)
 	s.FormulaEvals += d.FormulaEvals
 	s.ParamRegions += d.ParamRegions
 	s.ParamFallbacks += d.ParamFallbacks
