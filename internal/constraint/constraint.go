@@ -29,6 +29,7 @@ package constraint
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -73,9 +74,9 @@ type Var struct {
 }
 
 func (v Var) String() string {
-	s := fmt.Sprintf("%s.%s%d", v.Func, v.Kind, v.Index)
+	s := v.Func + "." + v.Kind.String() + strconv.Itoa(v.Index)
 	if v.CallSite != 0 {
-		s += fmt.Sprintf("@%s.f%d", v.CallSiteFunc, v.CallSite)
+		s += "@" + v.CallSiteFunc + ".f" + strconv.Itoa(v.CallSite)
 	}
 	return s
 }
@@ -126,14 +127,25 @@ type Rel struct {
 }
 
 func (r Rel) String() string {
-	vars := make([]Var, 0, len(r.Terms))
-	for v := range r.Terms {
-		vars = append(vars, v)
+	// Each variable is formatted once; the sort compares the strings.
+	type term struct {
+		name string
+		coef int64
 	}
-	sort.Slice(vars, func(i, j int) bool { return vars[i].String() < vars[j].String() })
+	terms := make([]term, 0, len(r.Terms))
+	for v, coef := range r.Terms {
+		terms = append(terms, term{v.String(), coef})
+	}
+	sort.Slice(terms, func(i, j int) bool { return terms[i].name < terms[j].name })
 	var b strings.Builder
-	for i, v := range vars {
-		coef := r.Terms[v]
+	writeCoef := func(coef int64) {
+		if coef != 1 {
+			b.WriteString(strconv.FormatInt(coef, 10))
+			b.WriteByte(' ')
+		}
+	}
+	for i, t := range terms {
+		coef := t.coef
 		if i > 0 {
 			if coef >= 0 {
 				b.WriteString(" + ")
@@ -145,15 +157,13 @@ func (r Rel) String() string {
 			b.WriteString("-")
 			coef = -coef
 		}
-		if coef != 1 {
-			fmt.Fprintf(&b, "%d ", coef)
-		}
-		b.WriteString(v.String())
+		writeCoef(coef)
+		b.WriteString(t.name)
 	}
-	if len(vars) == 0 {
+	if len(terms) == 0 {
 		b.WriteString("0")
 	}
-	fmt.Fprintf(&b, " %s %d", r.Op, r.RHS)
+	b.WriteString(" " + r.Op.String() + " " + strconv.FormatInt(r.RHS, 10))
 	syms := make([]string, 0, len(r.Syms))
 	for s := range r.Syms {
 		syms = append(syms, s)
@@ -167,9 +177,7 @@ func (r Rel) String() string {
 			b.WriteString(" - ")
 			coef = -coef
 		}
-		if coef != 1 {
-			fmt.Fprintf(&b, "%d ", coef)
-		}
+		writeCoef(coef)
 		b.WriteString(s)
 	}
 	return b.String()
@@ -437,77 +445,6 @@ func (f *File) Section(name string) (*Section, bool) {
 		}
 	}
 	return nil, false
-}
-
-// ConjunctiveSet is one conjunction of relations produced by DNF expansion.
-type ConjunctiveSet []Rel
-
-// DNF expands a formula into disjunctive normal form: a set of conjunctive
-// constraint sets, at least one of which must hold. Expansion is the cross
-// product described in Section III.D ("the size of the constraint sets is
-// doubled every time a functionality constraint with disjunction operator
-// is added"); maxSets guards against blowup.
-func DNF(f Formula, maxSets int) ([]ConjunctiveSet, error) {
-	sets, err := dnf(f, maxSets)
-	if err != nil {
-		return nil, err
-	}
-	return sets, nil
-}
-
-func dnf(f Formula, maxSets int) ([]ConjunctiveSet, error) {
-	switch x := f.(type) {
-	case *Atom:
-		return []ConjunctiveSet{{x.Rel}}, nil
-	case *Or:
-		var out []ConjunctiveSet
-		for _, p := range x.Parts {
-			sub, err := dnf(p, maxSets)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sub...)
-			if len(out) > maxSets {
-				return nil, fmt.Errorf("constraint: DNF expansion exceeds %d sets", maxSets)
-			}
-		}
-		return out, nil
-	case *And:
-		out := []ConjunctiveSet{{}}
-		for _, p := range x.Parts {
-			sub, err := dnf(p, maxSets)
-			if err != nil {
-				return nil, err
-			}
-			var next []ConjunctiveSet
-			for _, a := range out {
-				for _, b := range sub {
-					merged := make(ConjunctiveSet, 0, len(a)+len(b))
-					merged = append(merged, a...)
-					merged = append(merged, b...)
-					next = append(next, merged)
-					if len(next) > maxSets {
-						return nil, fmt.Errorf("constraint: DNF expansion exceeds %d sets", maxSets)
-					}
-				}
-			}
-			out = next
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("constraint: unknown formula node %T", f)
-}
-
-// CrossProduct combines the DNF expansions of several formulas into the
-// overall set of constraint sets ("by intersecting all the functionality
-// constraints we will obtain two functionality constraint sets").
-func CrossProduct(formulas []Formula, maxSets int) ([]ConjunctiveSet, error) {
-	if len(formulas) == 0 {
-		return []ConjunctiveSet{{}}, nil
-	}
-	parts := make([]Formula, len(formulas))
-	copy(parts, formulas)
-	return DNF(&And{Parts: parts}, maxSets)
 }
 
 // Satisfied reports whether an assignment satisfies every relation of the

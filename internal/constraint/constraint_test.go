@@ -276,3 +276,36 @@ func f {
 		}
 	}
 }
+
+// TestRelStringTable pins Rel.String byte for byte: variables sorted by
+// their rendered names, signs folded into the joining operators, unit
+// coefficients elided, call-site contexts rendered as @caller.f<n>, and
+// parameter symbols appended to the right-hand side in name order.
+func TestRelStringTable(t *testing.T) {
+	x := func(fn string, i int) Var { return Var{Func: fn, Kind: VarBlock, Index: i} }
+	d := func(fn string, i int) Var { return Var{Func: fn, Kind: VarEdge, Index: i} }
+	f := func(fn string, i int) Var { return Var{Func: fn, Kind: VarCall, Index: i} }
+	x8f1 := Var{Func: "check_data", Kind: VarBlock, Index: 8, CallSiteFunc: "task", CallSite: 1}
+	for _, c := range []struct {
+		rel  Rel
+		want string
+	}{
+		{Rel{Terms: map[Var]int64{x("f", 1): -10, x("f", 2): 1, d("g", 3): 2}, Op: OpLE},
+			"-10 f.x1 + f.x2 + 2 g.d3 <= 0"},
+		{Rel{Terms: map[Var]int64{x("f", 3): -1, f("f", 2): 3}, Op: OpGE, RHS: -5},
+			"3 f.f2 - f.x3 >= -5"},
+		{Rel{Terms: map[Var]int64{x("f", 10): 1, x("f", 9): -4, x("f", 1): 1}, Op: OpEQ, RHS: 7},
+			"f.x1 + f.x10 - 4 f.x9 = 7"},
+		{Rel{Terms: map[Var]int64{x("task", 12): 1, x8f1: -1}, Op: OpEQ},
+			"-check_data.x8@task.f1 + task.x12 = 0"},
+		{Rel{Terms: map[Var]int64{x("f", 2): 1}, Op: OpLE, RHS: 3, Syms: map[string]int64{"n1": 2, "m": -1}},
+			"f.x2 <= 3 - m + 2 n1"},
+		{Rel{Terms: map[Var]int64{d("f", 4): 1}, Op: OpGE, Syms: map[string]int64{"n2": 1}},
+			"f.d4 >= 0 + n2"},
+		{Rel{Op: OpEQ, RHS: 3}, "0 = 3"},
+	} {
+		if got := c.rel.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
+	}
+}

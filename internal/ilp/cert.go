@@ -24,7 +24,7 @@ package ilp
 // warm start running without a presolve, the only configuration that emits
 // certificates.
 func DroppedDeltaRow(c *Constraint) (dropped, infeasible bool) {
-	switch emptyRowFate(c.Coeffs, c.Rel, c.RHS) {
+	switch emptyRowFate(len(c.Coeffs), c.Rel, c.RHS) {
 	case rowRedundant:
 		return true, false
 	case rowInfeasible:

@@ -160,7 +160,7 @@ func TestCertifyWarmPath(t *testing.T) {
 				}
 				set = append(set, cn(coeffs, ilp.Relation(rng.Intn(3)), float64(rng.Intn(9)-2)))
 			}
-			r := w.SolveSetFull(set, 0, false, true)
+			r := w.SolveSetOpts(set, ilp.SetSolveOptions{WantCert: true})
 			if !r.OK || r.Status != ilp.Optimal || r.Cert == nil {
 				continue
 			}

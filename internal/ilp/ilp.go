@@ -196,18 +196,19 @@ func (p *Problem) Validate() error {
 	if p.NumVars <= 0 {
 		return fmt.Errorf("ilp: problem has no variables")
 	}
-	check := func(m map[int]float64, where string) error {
+	// where names the checked row; it is only formatted on failure.
+	check := func(m map[int]float64, where func() string) error {
 		for i, v := range m {
 			if i < 0 || i >= p.NumVars {
-				return fmt.Errorf("ilp: %s references variable %d (have %d)", where, i, p.NumVars)
+				return fmt.Errorf("ilp: %s references variable %d (have %d)", where(), i, p.NumVars)
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fmt.Errorf("ilp: %s has non-finite coefficient for x%d", where, i)
+				return fmt.Errorf("ilp: %s has non-finite coefficient for x%d", where(), i)
 			}
 		}
 		return nil
 	}
-	if err := check(p.Objective, "objective"); err != nil {
+	if err := check(p.Objective, func() string { return "objective" }); err != nil {
 		return err
 	}
 	for ri, r := range p.Prefix {
@@ -226,16 +227,19 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("ilp: packed row %d has non-finite rhs", ri)
 		}
 	}
-	for ci, c := range p.Constraints {
-		where := c.Name
-		if where == "" {
-			where = fmt.Sprintf("constraint %d", ci)
+	for ci := range p.Constraints {
+		c := &p.Constraints[ci]
+		where := func() string {
+			if c.Name != "" {
+				return c.Name
+			}
+			return fmt.Sprintf("constraint %d", ci)
 		}
 		if err := check(c.Coeffs, where); err != nil {
 			return err
 		}
 		if math.IsNaN(c.RHS) || math.IsInf(c.RHS, 0) {
-			return fmt.Errorf("ilp: %s has non-finite rhs", where)
+			return fmt.Errorf("ilp: %s has non-finite rhs", where())
 		}
 	}
 	return nil

@@ -1,6 +1,9 @@
 package ilp
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Structural presolve for the shared base problem of a warm start. The
 // analysis base rows (flow equations, the root's d1 = 1, loop bounds) are
@@ -20,8 +23,8 @@ import "math"
 
 // presolved maps between an original base problem and its reduced form.
 type presolved struct {
-	n    int   // original variable count
-	nRed int   // reduced variable count
+	n    int // original variable count
+	nRed int // reduced variable count
 	// col[v] is the reduced column of v's equality class, -1 when v is
 	// fixed; fixed[v] holds the value in that case.
 	col   []int32
@@ -42,14 +45,6 @@ const (
 	rowRedundant
 	rowInfeasible
 )
-
-// deltaRow is one per-set constraint lowered into the tableau's variable
-// space (reduced when a presolve is active, original otherwise).
-type deltaRow struct {
-	coeffs map[int]float64
-	rel    Relation
-	rhs    float64
-}
 
 // presolveBase derives the substitution implied by the base's structural
 // rows. It returns nil when no variable can be eliminated (the reduction
@@ -313,35 +308,46 @@ func (pr *presolved) lowerPacked(r *PackedRow) (map[int]float64, float64, rowFat
 			delete(coeffs, j)
 		}
 	}
-	return coeffs, rhs, emptyRowFate(coeffs, r.Rel, rhs)
+	return coeffs, rhs, emptyRowFate(len(coeffs), r.Rel, rhs)
 }
 
-// lowerConstraint substitutes a per-set delta constraint into reduced space.
-func (pr *presolved) lowerConstraint(c *Constraint) (map[int]float64, float64, rowFate) {
-	coeffs := make(map[int]float64, len(c.Coeffs))
-	rhs := c.RHS
-	for v, cv := range c.Coeffs {
-		if cv == 0 {
-			continue
-		}
-		if pr.col[v] < 0 {
+// lowerDelta substitutes a per-set delta constraint into reduced space,
+// visiting its variables in ascending order, and returns the surviving
+// coefficients sorted by reduced column.
+func (pr *presolved) lowerDelta(c *Constraint) (cols []int32, vals []float64, rhs float64, fate rowFate) {
+	vars, coeffs := sortedCoeffs(c.Coeffs)
+	rhs = c.RHS
+	for i, v := range vars {
+		cv := coeffs[i]
+		j := pr.col[v]
+		if j < 0 {
 			rhs -= cv * pr.fixed[v]
 			continue
 		}
-		j := int(pr.col[v])
-		coeffs[j] += cv
-		if coeffs[j] == 0 {
-			delete(coeffs, j)
+		if k, found := slices.BinarySearch(cols, j); found {
+			vals[k] += cv
+		} else {
+			cols = slices.Insert(cols, k, j)
+			vals = slices.Insert(vals, k, cv)
 		}
 	}
-	return coeffs, rhs, emptyRowFate(coeffs, c.Rel, rhs)
+	// Merged classes may cancel out.
+	n := 0
+	for k := range cols {
+		if vals[k] != 0 {
+			cols[n], vals[n] = cols[k], vals[k]
+			n++
+		}
+	}
+	cols, vals = cols[:n], vals[:n]
+	return cols, vals, rhs, emptyRowFate(n, c.Rel, rhs)
 }
 
-// emptyRowFate decides what to do with a substituted row: rows that still
-// carry variables are kept; constant rows are either redundant or a
-// contradiction (0 rel rhs).
-func emptyRowFate(coeffs map[int]float64, rel Relation, rhs float64) rowFate {
-	if len(coeffs) > 0 {
+// emptyRowFate decides what to do with a substituted row of n coefficient
+// entries: rows that still carry variables are kept; constant rows are
+// either redundant or a contradiction (0 rel rhs).
+func emptyRowFate(n int, rel Relation, rhs float64) rowFate {
+	if n > 0 {
 		return rowKeep
 	}
 	ok := false

@@ -118,18 +118,18 @@ func TestPresolveDeltaLowering(t *testing.T) {
 		t.Fatalf("presolve failed: red=%v infeasible=%v", red, infeasible)
 	}
 	// Delta pinning the fixed variable to its value: redundant.
-	if _, _, fate := red.lowerConstraint(&Constraint{Coeffs: map[int]float64{0: 1}, Rel: EQ, RHS: 4}); fate != rowRedundant {
+	if _, _, _, fate := red.lowerDelta(&Constraint{Coeffs: map[int]float64{0: 1}, Rel: EQ, RHS: 4}); fate != rowRedundant {
 		t.Errorf("consistent fixed-variable delta: fate %v, want redundant", fate)
 	}
 	// Delta pinning it elsewhere: infeasible.
-	if _, _, fate := red.lowerConstraint(&Constraint{Coeffs: map[int]float64{0: 1}, Rel: EQ, RHS: 5}); fate != rowInfeasible {
+	if _, _, _, fate := red.lowerDelta(&Constraint{Coeffs: map[int]float64{0: 1}, Rel: EQ, RHS: 5}); fate != rowInfeasible {
 		t.Errorf("contradicting fixed-variable delta: fate %v, want infeasible", fate)
 	}
 	// Mixed delta keeps the live part with the fixed contribution folded
 	// into the right-hand side.
-	coeffs, rhs, fate := red.lowerConstraint(&Constraint{Coeffs: map[int]float64{0: 2, 1: 1}, Rel: LE, RHS: 11})
-	if fate != rowKeep || rhs != 3 || len(coeffs) != 1 || coeffs[int(red.col[1])] != 1 {
-		t.Errorf("mixed delta lowered to %v <= %g (fate %v), want x'%d <= 3", coeffs, rhs, fate, red.col[1])
+	cols, vals, rhs, fate := red.lowerDelta(&Constraint{Coeffs: map[int]float64{0: 2, 1: 1}, Rel: LE, RHS: 11})
+	if fate != rowKeep || rhs != 3 || len(cols) != 1 || cols[0] != red.col[1] || vals[0] != 1 {
+		t.Errorf("mixed delta lowered to %v·%v <= %g (fate %v), want x'%d <= 3", vals, cols, rhs, fate, red.col[1])
 	}
 }
 

@@ -3,7 +3,7 @@ package ilp
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 )
 
 // WarmStart retains the optimal tableau of a base problem — the shared
@@ -148,11 +148,11 @@ func (w *WarmStart) BaseObjective() (float64, bool) { return w.baseObj, w.ok }
 // iteration cap) and the caller must re-solve cold; the returned pivot
 // count is still valid work performed.
 func (w *WarmStart) SolveSet(set []Constraint, cutoff float64, useCutoff bool) (status Status, obj float64, x []float64, pivots int, ok bool) {
-	r := w.SolveSetFull(set, cutoff, useCutoff, false)
+	r := w.SolveSetOpts(set, SetSolveOptions{Cutoff: cutoff, UseCutoff: useCutoff})
 	return r.Status, r.Objective, r.X, r.Pivots, r.OK
 }
 
-// SetSolveOptions tunes one warm per-set solve (SolveSetOpts).
+// SetSolveOptions tunes one warm per-set solve (SolveRows).
 type SetSolveOptions struct {
 	// Cutoff, with UseCutoff, is an incumbent bound in the problem's own
 	// sense; the solve returns Dominated as soon as the dual bound proves
@@ -193,34 +193,176 @@ type SetSolution struct {
 	OK bool
 }
 
-// SolveSetFull is SolveSet returning the full per-solve result, including
-// the suspect-pivot count and, when wantCert is set, the optimal-basis
-// certificate for exact re-verification.
-func (w *WarmStart) SolveSetFull(set []Constraint, cutoff float64, useCutoff, wantCert bool) SetSolution {
-	return w.SolveSetOpts(set, SetSolveOptions{Cutoff: cutoff, UseCutoff: useCutoff, WantCert: wantCert})
+// SolveSetOpts is SolveSet with the full option set and the full per-solve
+// result. It lowers every row of the set for this one solve; callers that
+// solve many sets over a shared pool of rows lower each row once with
+// LowerRow and call SolveRows.
+func (w *WarmStart) SolveSetOpts(set []Constraint, opts SetSolveOptions) SetSolution {
+	rows := make([]*WarmRow, len(set))
+	for i := range set {
+		rows[i] = w.LowerRow(&set[i])
+	}
+	return w.SolveRows(rows, opts)
 }
 
-// deltaRowsPool recycles the lowered-row slices of SolveSetOpts: one warm
-// per-set solve is a few pointer-sized rows, and the fan-out performs
-// thousands of them.
-var deltaRowsPool = sync.Pool{New: func() any { s := make([]deltaRow, 0, 8); return &s }}
+// WarmRow is one per-set delta constraint lowered into a warm start's
+// tableau once, so that every set it belongs to re-uses the work: the row
+// is substituted through the structural presolve (when active) into
+// column-sorted slices, and eliminated against the base tableau's basic
+// columns. Only the right-hand side is finished per solve, against that
+// solve's own copy of the base right-hand sides. A WarmRow is read-only
+// after LowerRow and may be shared by concurrent SolveRows calls on the
+// WarmStart that lowered it.
+type WarmRow struct {
+	src  Constraint // the row as given, for the self-check replay
+	fate rowFate
+	// le holds the row in <= orientation (LE rows and the first half of an
+	// equality), ge the negated orientation (GE rows and the second half).
+	le, ge elimRow
+}
 
-// SolveSetOpts is SolveSet with the full option set (SetSolveOptions) and
-// the full per-solve result.
-func (w *WarmStart) SolveSetOpts(set []Constraint, opts SetSolveOptions) SetSolution {
+// elimRow is one orientation of a delta row after elimination: its
+// nonzero coefficients over the base tableau's columns, its initial
+// right-hand side, and the base rows eliminated into it with their
+// multipliers, in row order. The per-solve right-hand side is rhs minus
+// each multiplier times that base row's right-hand side, subtracted in
+// order.
+type elimRow struct {
+	cols   []int32
+	vals   []float64
+	rhs    float64
+	mulRow []int32
+	mul    []float64
+}
+
+// LowerRow lowers one delta constraint into the tableau's variable space
+// (reduced when a presolve is active, original otherwise) and eliminates
+// the base's basic columns from it. A row the substitution satisfies
+// outright is dropped by SolveRows; a row it contradicts makes any set
+// containing it infeasible without touching the tableau.
+func (w *WarmStart) LowerRow(c *Constraint) *WarmRow {
+	r := &WarmRow{src: *c}
+	var (
+		cols []int32
+		vals []float64
+		rhs  float64
+	)
+	if w.red == nil {
+		// The fate counts zero coefficients as present, exactly as the
+		// exact checker's DroppedDeltaRow does.
+		r.fate = emptyRowFate(len(c.Coeffs), c.Rel, c.RHS)
+		cols, vals = sortedCoeffs(c.Coeffs)
+		rhs = c.RHS
+	} else {
+		cols, vals, rhs, r.fate = w.red.lowerDelta(c)
+	}
+	if r.fate != rowKeep || !w.ok {
+		return r
+	}
+	if c.Rel != GE {
+		r.le = w.eliminate(cols, vals, false, rhs)
+	}
+	if c.Rel != LE {
+		r.ge = w.eliminate(cols, vals, true, -rhs)
+	}
+	return r
+}
+
+// sortedCoeffs lists a coefficient map's nonzero entries by column.
+func sortedCoeffs(m map[int]float64) ([]int32, []float64) {
+	cols := make([]int32, 0, len(m))
+	for j, v := range m {
+		if v != 0 {
+			cols = append(cols, int32(j))
+		}
+	}
+	slices.Sort(cols)
+	vals := make([]float64, len(cols))
+	for k, j := range cols {
+		vals[k] = m[int(j)]
+	}
+	return cols, vals
+}
+
+// eliminate expresses one orientation of a delta row over the base
+// tableau's nonbasic columns: in a canonical tableau every basic column is
+// a unit vector, so subtracting f times base row i for f the row's entry
+// in row i's basic column zeroes that column, and a single pass in row
+// order cannot reintroduce an eliminated one.
+func (w *WarmStart) eliminate(cols []int32, vals []float64, negate bool, rhs float64) elimRow {
+	b := w.base
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	s.ensure(1, b.total)
+	r := s.tab[0]
+	for k, j := range cols {
+		v := vals[k]
+		if negate {
+			v = -v
+		}
+		r[j] = v
+	}
+	e := elimRow{rhs: rhs}
+	for i := 0; i < b.m; i++ {
+		f := r[b.basis[i]]
+		if f == 0 {
+			continue
+		}
+		ri := b.tab[i]
+		for j := 0; j <= b.hi[i]; j++ {
+			if ri[j] != 0 {
+				r[j] -= f * ri[j]
+			}
+		}
+		e.mulRow = append(e.mulRow, int32(i))
+		e.mul = append(e.mul, f)
+	}
+	nnz := 0
+	for _, v := range r {
+		if v != 0 {
+			nnz++
+		}
+	}
+	e.cols = make([]int32, 0, nnz)
+	e.vals = make([]float64, 0, nnz)
+	for j, v := range r {
+		if v != 0 {
+			e.cols = append(e.cols, int32(j))
+			e.vals = append(e.vals, v)
+		}
+	}
+	return e
+}
+
+// SolveRows re-solves the base problem with the given lowered rows
+// appended (see SolveSet for the result's meaning). Every row must have
+// been lowered by this WarmStart.
+func (w *WarmStart) SolveRows(rows []*WarmRow, opts SetSolveOptions) SetSolution {
 	if !w.ok {
 		return SetSolution{Status: Infeasible}
 	}
 	var r SetSolution
-	buf := deltaRowsPool.Get().(*[]deltaRow)
-	rows, setInfeasible := w.lowerSet(set, (*buf)[:0])
+	k := 0
+	infeasible := false
+	for _, row := range rows {
+		switch row.fate {
+		case rowInfeasible:
+			infeasible = true
+		case rowKeep:
+			if row.src.Rel == EQ {
+				k += 2
+			} else {
+				k++
+			}
+		}
+	}
 	switch {
-	case setInfeasible:
+	case infeasible:
 		// A delta row reduced to a violated constant (e.g. it pins a
 		// presolve-fixed variable to a different value): the set is
 		// infeasible without touching the tableau.
 		r = SetSolution{Status: Infeasible, OK: true}
-	case len(rows) == 0:
+	case k == 0:
 		// Every delta row is implied by the base (or the set was empty):
 		// the base optimum answers the set — unless the incumbent cutoff
 		// already proves it uninteresting, matching the dual bound check a
@@ -238,135 +380,27 @@ func (w *WarmStart) SolveSetOpts(set []Constraint, opts SetSolveOptions) SetSolu
 			}
 		}
 	default:
-		r = w.solveDelta(rows, opts)
+		r = w.solveDelta(rows, k, opts)
 	}
-	// Drop the map references before recycling so a pooled slice cannot
-	// pin a caller's coefficient maps alive.
-	for i := range rows {
-		rows[i] = deltaRow{}
-	}
-	*buf = rows[:0]
-	deltaRowsPool.Put(buf)
 	if r.OK && selfCheck.Load() {
+		set := make([]Constraint, len(rows))
+		for i, row := range rows {
+			set[i] = row.src
+		}
 		w.checkAgainstCold(set, r.Status, r.Objective, opts.Cutoff)
 	}
 	return r
 }
 
-// lowerSet translates per-set delta constraints into the tableau's variable
-// space, dropping rows the base substitution already satisfies and
-// reporting sets it outright contradicts. The rows are appended to the
-// caller-supplied (pooled) slice.
-func (w *WarmStart) lowerSet(set []Constraint, rows []deltaRow) ([]deltaRow, bool) {
-	for i := range set {
-		c := &set[i]
-		var (
-			coeffs map[int]float64
-			rhs    float64
-			fate   rowFate
-		)
-		if w.red == nil {
-			coeffs, rhs = c.Coeffs, c.RHS
-			fate = emptyRowFate(coeffs, c.Rel, rhs)
-		} else {
-			coeffs, rhs, fate = w.red.lowerConstraint(c)
-		}
-		switch fate {
-		case rowInfeasible:
-			return rows, true
-		case rowRedundant:
-			continue
-		}
-		rows = append(rows, deltaRow{coeffs: coeffs, rel: c.Rel, rhs: rhs})
-	}
-	return rows, false
-}
-
-func (w *WarmStart) solveDelta(rows []deltaRow, opts SetSolveOptions) SetSolution {
+// solveDelta appends the k slack-carried rows of the kept delta rows to a
+// copy of the base tableau and restores primal feasibility by dual simplex.
+func (w *WarmStart) solveDelta(rows []*WarmRow, k int, opts SetSolveOptions) SetSolution {
 	b := w.base
-	m0, total0 := b.m, b.total
-
-	// Every delta row is lowered to <= form and carried by one fresh slack
-	// column; an equality contributes a <= and a >= (negated <=) pair.
-	k := 0
-	for i := range rows {
-		if rows[i].rel == EQ {
-			k += 2
-		} else {
-			k++
-		}
-	}
-	m := m0 + k
-	total := total0 + k
+	total0 := b.total
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
-	s.ensure(m, total+1)
-	s.suspect = 0
-
-	// Copy the base tableau, shifting the rhs right past the new slack
-	// columns (which ensure left zeroed).
-	for i := 0; i < m0; i++ {
-		src, dst := b.tab[i], s.tab[i]
-		copy(dst[:total0], src[:total0])
-		dst[total] = injectFault(FaultWarmBase, src[total0])
-		s.basis[i] = b.basis[i]
-		s.hi[i] = b.hi[i]
-	}
+	m, total := w.loadDelta(s, rows, k)
 	rc := s.rc
-	copy(rc[:total0], b.rc[:total0])
-	for j := total0; j < total; j++ {
-		rc[j] = 0
-	}
-	rc[total] = b.rc[total0] // -z of the base optimum
-
-	// Append the delta rows, eliminating basic columns against the base
-	// tableau so each new row is expressed over nonbasic columns plus its
-	// own (basic) slack. In a canonical tableau every basic column is a
-	// unit vector, so a single pass cannot reintroduce an eliminated one.
-	row, slack := m0, total0
-	appendLE := func(coeffs map[int]float64, negate bool, rhs float64) {
-		r := s.tab[row]
-		for j, v := range coeffs {
-			if v == 0 {
-				continue
-			}
-			if negate {
-				v = -v
-			}
-			r[j] = v
-		}
-		r[total] = rhs
-		for i := 0; i < m0; i++ {
-			f := r[s.basis[i]]
-			if f == 0 {
-				continue
-			}
-			ri := s.tab[i]
-			for j := 0; j <= s.hi[i]; j++ {
-				if ri[j] != 0 {
-					r[j] -= f * ri[j]
-				}
-			}
-			r[total] -= f * ri[total]
-		}
-		r[slack] = 1
-		s.basis[row] = slack
-		s.hi[row] = slack
-		row++
-		slack++
-	}
-	for i := range rows {
-		c := &rows[i]
-		switch c.rel {
-		case LE:
-			appendLE(c.coeffs, false, c.rhs)
-		case GE:
-			appendLE(c.coeffs, true, -c.rhs)
-		case EQ:
-			appendLE(c.coeffs, false, c.rhs)
-			appendLE(c.coeffs, true, -c.rhs)
-		}
-	}
 
 	// Dual simplex: the basis stays dual feasible (rc <= 0 over admissible
 	// columns); drive the negative right-hand sides out. Base artificial
@@ -498,6 +532,68 @@ func (w *WarmStart) solveDelta(rows []deltaRow, opts SetSolveOptions) SetSolutio
 		r.Cert = &Certificate{Warm: true, Basis: append([]int(nil), s.basis[:m]...)}
 	}
 	return r
+}
+
+// loadDelta fills s with a copy of the base tableau and the kept delta
+// rows appended (k tableau rows in all), and returns the row count and the
+// column count before the rhs. Every delta row is in <= form and carried by
+// one fresh slack column; an equality contributes a <= and a >= (negated
+// <=) pair.
+func (w *WarmStart) loadDelta(s *scratch, rows []*WarmRow, k int) (m, total int) {
+	b := w.base
+	m0, total0 := b.m, b.total
+	m, total = m0+k, total0+k
+	s.ensure(m, total+1)
+	s.suspect = 0
+
+	// Copy the base tableau, shifting the rhs right past the new slack
+	// columns (which ensure left zeroed).
+	for i := 0; i < m0; i++ {
+		src, dst := b.tab[i], s.tab[i]
+		copy(dst[:total0], src[:total0])
+		dst[total] = injectFault(FaultWarmBase, src[total0])
+		s.basis[i] = b.basis[i]
+		s.hi[i] = b.hi[i]
+	}
+	rc := s.rc
+	copy(rc[:total0], b.rc[:total0])
+	for j := total0; j < total; j++ {
+		rc[j] = 0
+	}
+	rc[total] = b.rc[total0] // -z of the base optimum
+
+	// Append the pre-eliminated delta rows, each with its own (basic)
+	// slack; only the right-hand side is reduced here, against this
+	// solve's copy of the base right-hand sides.
+	row, slack := m0, total0
+	appendLE := func(e *elimRow) {
+		r := s.tab[row]
+		for k, j := range e.cols {
+			r[j] = e.vals[k]
+		}
+		rhs := e.rhs
+		for k, i := range e.mulRow {
+			rhs -= e.mul[k] * s.tab[i][total]
+		}
+		r[total] = rhs
+		r[slack] = 1
+		s.basis[row] = slack
+		s.hi[row] = slack
+		row++
+		slack++
+	}
+	for _, c := range rows {
+		if c.fate != rowKeep {
+			continue
+		}
+		if c.src.Rel != GE {
+			appendLE(&c.le)
+		}
+		if c.src.Rel != LE {
+			appendLE(&c.ge)
+		}
+	}
+	return m, total
 }
 
 // checkAgainstCold is the SetSelfCheck differential for the warm path: the

@@ -120,6 +120,19 @@ func TestContextNullPruning(t *testing.T) {
 	}
 }
 
+// setKeyOf is the canonical key of one set given as rows, built through a
+// key table the way a solver plan builds it.
+func setKeyOf(rows ...ilp.Constraint) string {
+	atoms := make([]atomRow, len(rows))
+	set := make([]int32, len(rows))
+	for i, r := range rows {
+		atoms[i] = atomRow{row: r}
+		set[i] = int32(i)
+	}
+	key, _ := newKeyTable(atoms, false).setKey(set, nil)
+	return key
+}
+
 // TestCanonicalSetKey pins the key's invariances at the lowered-ILP level:
 // row order and homogeneous-equality sign are normalized away; distinct
 // variable columns (the lowered form of distinct call contexts) are not.
@@ -139,16 +152,16 @@ func TestCanonicalSetKey(t *testing.T) {
 		row(map[int]float64{2: 1}, ilp.EQ, 1),
 		row(map[int]float64{1: 1}, ilp.EQ, 0),
 	}
-	if canonicalSetKey(a) != canonicalSetKey(b) {
+	if setKeyOf(a...) != setKeyOf(b...) {
 		t.Fatal("row order changed the canonical key")
 	}
-	if canonicalSetKey(a) == canonicalSetKey(c) {
+	if setKeyOf(a...) == setKeyOf(c...) {
 		t.Fatal("distinct variable columns produced the same key")
 	}
 	// x0 - x1 = 0 and -x0 + x1 = 0 describe the same hyperplane.
 	d := []ilp.Constraint{row(map[int]float64{0: 1, 1: -1}, ilp.EQ, 0)}
 	e := []ilp.Constraint{row(map[int]float64{0: -1, 1: 1}, ilp.EQ, 0)}
-	if canonicalSetKey(d) != canonicalSetKey(e) {
+	if setKeyOf(d...) != setKeyOf(e...) {
 		t.Fatal("homogeneous equality sign changed the canonical key")
 	}
 	// Row fusion ambiguity: two one-row sets concatenated differently must
@@ -158,7 +171,7 @@ func TestCanonicalSetKey(t *testing.T) {
 		row(map[int]float64{0: 1}, ilp.LE, 5),
 		row(map[int]float64{0: 1}, ilp.LE, 5),
 	}
-	if canonicalSetKey(f) == canonicalSetKey(g) {
+	if setKeyOf(f...) == setKeyOf(g...) {
 		t.Fatal("duplicate row count ignored by the canonical key")
 	}
 }

@@ -42,6 +42,11 @@ func (a *Analyzer) DumpILP(w io.Writer) error {
 	fmt.Fprintf(w, "\nworst-case objective and shared constraints:\n%s", base)
 	fmt.Fprintf(w, "\nfunctionality constraint sets: %d generated, %d pruned as null\n",
 		total, pruned)
+	// Each relation is rendered once, however many sets list it.
+	rels := make([]string, len(a.atoms))
+	for k := range a.atoms {
+		rels[k] = a.atoms[k].atom.Rel.String()
+	}
 	for i, set := range sets {
 		mark := ""
 		if widened[i] {
@@ -52,13 +57,8 @@ func (a *Analyzer) DumpILP(w io.Writer) error {
 			fmt.Fprintf(w, "  (empty: structural and loop constraints only)\n")
 			continue
 		}
-		for _, c := range set {
-			line := c.Name
-			if line == "" {
-				p := &ilp.Problem{NumVars: a.nVars, Constraints: []ilp.Constraint{c}}
-				line = p.String()
-			}
-			fmt.Fprintf(w, "  %s\n", line)
+		for _, k := range set {
+			fmt.Fprintf(w, "  %s\n", rels[k])
 		}
 	}
 	return nil

@@ -2,19 +2,16 @@ package ipet
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/big"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"cinderella/internal/constraint"
 	"cinderella/internal/ilp"
 	"cinderella/internal/ilp/certify"
 	"cinderella/internal/march"
@@ -235,145 +232,6 @@ type Estimate struct {
 	Stats Stats
 }
 
-// buildSets expands the functionality annotations into conjunctive ILP
-// constraint sets, pruning trivially-null sets when enabled. With
-// Opts.WidenSets, formulas whose expansion would overflow Opts.MaxSets
-// are soundly widened instead of failing; widened[i] flags the surviving
-// sets touched by widening. Pruning a widened set is sound: its feasible
-// region contains every region it replaced, so widened-null implies
-// all-null.
-func (a *Analyzer) buildSets() (sets [][]ilp.Constraint, widened []bool, total, pruned int, err error) {
-	var formulas []constraint.Formula
-	if a.annots != nil {
-		for _, sec := range a.annots.Sections {
-			if _, reachable := a.ctxByFunc[sec.Func]; !reachable {
-				continue
-			}
-			formulas = append(formulas, sec.Formulas...)
-		}
-	}
-	var conjSets []constraint.ConjunctiveSet
-	var wide []bool
-	if a.Opts.WidenSets {
-		conjSets, wide, err = constraint.CrossProductWiden(formulas, a.Opts.MaxSets)
-	} else {
-		conjSets, err = constraint.CrossProduct(formulas, a.Opts.MaxSets)
-		wide = make([]bool, len(conjSets))
-	}
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	total = len(conjSets)
-	for i, cs := range conjSets {
-		ilpSet := make([]ilp.Constraint, 0, len(cs))
-		for _, r := range cs {
-			c, err := a.relToILP(r)
-			if err != nil {
-				return nil, nil, 0, 0, err
-			}
-			ilpSet = append(ilpSet, c)
-		}
-		if a.Opts.PruneNullSets && triviallyNull(ilpSet) {
-			pruned++
-			continue
-		}
-		sets = append(sets, ilpSet)
-		widened = append(widened, wide[i])
-	}
-	return sets, widened, total, pruned, nil
-}
-
-// triviallyNull detects contradictions among single-variable constraints by
-// interval intersection — the paper's example being "x_i >= 1 intersected
-// with x_i = 0".
-func triviallyNull(set []ilp.Constraint) bool {
-	type iv struct{ lo, hi float64 }
-	bounds := map[int]*iv{}
-	get := func(v int) *iv {
-		b, ok := bounds[v]
-		if !ok {
-			b = &iv{lo: 0, hi: math.Inf(1)} // variables are nonnegative
-			bounds[v] = b
-		}
-		return b
-	}
-	for _, c := range set {
-		if len(c.Coeffs) != 1 {
-			continue
-		}
-		var v int
-		var coef float64
-		for vv, cc := range c.Coeffs {
-			v, coef = vv, cc
-		}
-		if coef == 0 {
-			continue
-		}
-		val := c.RHS / coef
-		rel := c.Rel
-		if coef < 0 {
-			switch rel {
-			case ilp.LE:
-				rel = ilp.GE
-			case ilp.GE:
-				rel = ilp.LE
-			}
-		}
-		b := get(v)
-		switch rel {
-		case ilp.EQ:
-			b.lo = math.Max(b.lo, val)
-			b.hi = math.Min(b.hi, val)
-		case ilp.LE:
-			b.hi = math.Min(b.hi, val)
-		case ilp.GE:
-			b.lo = math.Max(b.lo, val)
-		}
-		if b.lo > b.hi+1e-9 {
-			return true
-		}
-	}
-	return false
-}
-
-// canonicalSetKey serializes a conjunctive set to a canonical binary form
-// over the lowered ILP rows: coefficients sign- and order-normalized (via
-// ilp.Pack, plus a sign convention for homogeneous equalities), rows
-// sorted, names excluded. Two sets with equal keys describe the identical
-// feasible region, so one solve answers both. Context-qualified facts
-// (x12 = x8 @ f1) lower to context-specific variable columns and therefore
-// never collide with their aggregate counterparts.
-func canonicalSetKey(set []ilp.Constraint) string {
-	rows := ilp.Pack(set)
-	encoded := make([]string, len(rows))
-	for ri, r := range rows {
-		// A homogeneous equality (rhs 0) is sign-ambiguous after Pack's
-		// rhs >= 0 normalization; orient it by its first coefficient.
-		flip := r.Rel == ilp.EQ && r.RHS == 0 && len(r.Vals) > 0 && r.Vals[0] < 0
-		b := make([]byte, 0, 9+12*len(r.Cols))
-		b = append(b, byte(r.Rel))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.RHS))
-		for k, col := range r.Cols {
-			v := r.Vals[k]
-			if flip {
-				v = -v
-			}
-			b = binary.LittleEndian.AppendUint32(b, uint32(col))
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
-		}
-		encoded[ri] = string(b)
-	}
-	sort.Strings(encoded)
-	var sb strings.Builder
-	for _, e := range encoded {
-		var lb [4]byte
-		binary.LittleEndian.PutUint32(lb[:], uint32(len(e)))
-		sb.Write(lb[:])
-		sb.WriteString(e)
-	}
-	return sb.String()
-}
-
 // firstIterSplit adds the Section IV refinement to a worst-case objective:
 // blocks of cache-resident loops get a first-iteration variable xf with
 // xf <= x and xf <= (loop entries); the objective charges full miss costs
@@ -495,6 +353,20 @@ type direction struct {
 	// when a budgeted run may need it.
 	relax   float64
 	relaxOK bool
+	// warmRows[k] is atom k's row lowered into warm, built by the first
+	// solve that needs it (nil without a ready warm base).
+	warmRows []warmRow
+	// keyPrefix heads this direction's session cache keys (persistent
+	// sessions only).
+	keyPrefix string
+}
+
+// warmRow returns atom k's row lowered into the direction's warm base,
+// lowering it on first use.
+func (d *direction) warmRow(atoms []atomRow, k int32) *ilp.WarmRow {
+	w := &d.warmRows[k]
+	w.once.Do(func() { w.row = d.warm.LowerRow(&atoms[k].row) })
+	return w.row
 }
 
 // solverPlan is the memoized per-analyzer solver setup: the expanded
@@ -503,7 +375,10 @@ type direction struct {
 // Estimate calls on unchanged annotations reuse it, including the warm
 // base tableaus.
 type solverPlan struct {
-	sets          [][]ilp.Constraint
+	// atoms is the analyzer's atom table the plan was built from; sets[i]
+	// lists the atoms of surviving set i.
+	atoms         []atomRow
+	sets          [][]int32
 	total, pruned int
 	// widened[i] marks set i as a sound widening of several original sets
 	// (Options.WidenSets); nWidened counts them.
@@ -516,10 +391,12 @@ type solverPlan struct {
 	distinct []int
 	deduped  int
 	// keys[i] is the canonical key of set i, computed when dedup or a
-	// persistent session needs it (nil otherwise); loopKey identifies the
-	// loop-bound rows this plan appended to the shared structural prefix
-	// (persistent sessions only).
+	// persistent session needs it (nil otherwise). rowKeys[k] is atom k's
+	// order-sensitive row encoding, from which winner-count keys are
+	// assembled, and loopKey identifies the loop-bound rows this plan
+	// appended to the shared structural prefix (persistent sessions only).
 	keys    []string
+	rowKeys []string
 	loopKey string
 	dirs    []direction
 	// Work performed building the plan (warm base solves), charged to the
@@ -546,7 +423,7 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 	if err != nil {
 		return nil, false, err
 	}
-	plan = &solverPlan{sets: sets, total: total, pruned: pruned, widened: widened}
+	plan = &solverPlan{atoms: a.atoms, sets: sets, total: total, pruned: pruned, widened: widened}
 	for _, w := range widened {
 		if w {
 			plan.nWidened++
@@ -555,10 +432,13 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 	plan.repOf = make([]int, len(sets))
 	plan.distinct = make([]int, 0, len(sets))
 	if a.Opts.DedupSets || a.persist {
+		kt := newKeyTable(a.atoms, a.persist)
 		plan.keys = make([]string, len(sets))
-		for i := range sets {
-			plan.keys[i] = canonicalSetKey(sets[i])
+		var ranks []int32
+		for i, set := range sets {
+			plan.keys[i], ranks = kt.setKey(set, ranks)
 		}
+		plan.rowKeys = kt.exact
 	}
 	if a.Opts.DedupSets {
 		byKey := make(map[string]int, len(sets))
@@ -595,6 +475,9 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 		prefix = append(prefix, loops...)
 		prefix = append(prefix, db.packedExtra...)
 		d := direction{sense: db.sense, obj: db.obj, prefix: prefix}
+		if a.persist {
+			d.keyPrefix = keyPrefix(di, plan.loopKey)
+		}
 		if a.Opts.WarmStart {
 			newBase := func() *warmBaseEntry {
 				// Certify needs the un-presolved base: the exact checker
@@ -619,6 +502,9 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 				entry = newBase()
 			}
 			d.warm = entry.warm
+			if d.warm.Ready() {
+				d.warmRows = make([]warmRow, len(a.atoms))
+			}
 			if !hit {
 				plan.setupLP++
 				plan.setupCold++
@@ -655,6 +541,38 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 	}
 	a.plan = plan
 	return plan, true, nil
+}
+
+// problem materializes the full integer program of one set in one
+// direction: the shared prefix plus the set's rows in set order — the form
+// the cold solver and the certificate layer take.
+func (p *solverPlan) problem(d *direction, set []int32) *ilp.Problem {
+	rows := make([]ilp.Constraint, len(set))
+	for k, ai := range set {
+		rows[k] = p.atoms[ai].row
+	}
+	return &ilp.Problem{
+		Sense:       d.sense,
+		NumVars:     d.obj.nVars,
+		Integer:     true,
+		Objective:   d.obj.coeffs,
+		Prefix:      d.prefix,
+		Constraints: rows,
+	}
+}
+
+// finishKey identifies a winner's canonical count vector. The winning
+// counts come from a cold solve of the set's rows as written, so the key
+// is order-sensitive: a scenario listing the same rows in another order
+// re-derives its own counts, keeping reports bit-identical to the one-shot
+// path.
+func (p *solverPlan) finishKey(d *direction, set []int32) string {
+	var sb strings.Builder
+	sb.WriteString(d.keyPrefix)
+	for _, ai := range set {
+		sb.WriteString(p.rowKeys[ai])
+	}
+	return sb.String()
 }
 
 // solveResult carries one (direction, set) ILP outcome to the reducer.
@@ -710,7 +628,7 @@ var testCrashJob atomic.Int32
 // cycles: the solve may conclude Dominated as soon as the set is provably
 // unable to match it (strictly — ties are never abandoned, preserving the
 // first-set-wins reduce order).
-func (a *Analyzer) solveSet(ctx context.Context, d *direction, set []ilp.Constraint, cutoff int64, useCutoff bool) solveResult {
+func (a *Analyzer) solveSet(ctx context.Context, plan *solverPlan, d *direction, set []int32, cutoff int64, useCutoff bool) solveResult {
 	// A cancelled estimate must not burn a simplex run per queued set.
 	if err := ctx.Err(); err != nil {
 		return solveResult{err: err}
@@ -732,23 +650,22 @@ func (a *Analyzer) solveSet(ctx context.Context, d *direction, set []ilp.Constra
 	var p *ilp.Problem
 	problem := func() *ilp.Problem {
 		if p == nil {
-			p = &ilp.Problem{
-				Sense:       d.sense,
-				NumVars:     d.obj.nVars,
-				Integer:     true,
-				Objective:   d.obj.coeffs,
-				Prefix:      d.prefix,
-				Constraints: set,
-			}
+			p = plan.problem(d, set)
 		}
 		return p
 	}
 
 	if d.warm != nil && d.warm.Ready() {
+		// The set's rows, each lowered into the warm tableau once per plan.
+		var buf [16]*ilp.WarmRow
+		rows := buf[:0]
+		for _, k := range set {
+			rows = append(rows, d.warmRow(plan.atoms, k))
+		}
 		// NoX: a warm winner's counts are always re-derived by finishDir's
 		// canonical cold re-solve, so no per-set solve needs the assignment
 		// materialized — integrality arrives precomputed in ws.XIntegral.
-		ws := d.warm.SolveSetOpts(set, ilp.SetSolveOptions{
+		ws := d.warm.SolveRows(rows, ilp.SetSolveOptions{
 			Cutoff: cut, UseCutoff: useCutoff, WantCert: certOn, NoX: true})
 		r.stats.Pivots += ws.Pivots
 		r.stats.SuspectPivots += ws.Suspect
@@ -1009,22 +926,16 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 		return nil
 	}
 	d := &plan.dirs[di]
+	set := plan.sets[best.SetIndex]
 	var key string
 	if a.persist {
-		key = finishKey(di, plan.loopKey, plan.sets[best.SetIndex])
+		key = plan.finishKey(d, set)
 		if vals, ok := a.finishCache.Get(key); ok {
 			best.Counts = a.aggregateCounts(vals)
 			return nil
 		}
 	}
-	p := &ilp.Problem{
-		Sense:       d.sense,
-		NumVars:     d.obj.nVars,
-		Integer:     true,
-		Objective:   d.obj.coeffs,
-		Prefix:      d.prefix,
-		Constraints: plan.sets[best.SetIndex],
-	}
+	p := plan.problem(d, set)
 	sol, err := ilp.SolveCtxOpts(ctx, p, ilp.SolveOptions{WantCert: a.Opts.Certify})
 	if err != nil {
 		return err
@@ -1226,7 +1137,7 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 			// A certifying run only accepts hits that were certified when
 			// produced; an uncertified cached claim falls through to a fresh
 			// (certified) solve.
-			key = solveKey(d, plan.loopKey, plan.keys[si])
+			key = dir.keyPrefix + plan.keys[si]
 			if v, ok := a.solveCache.Get(key); ok && (!a.Opts.Certify || v.certified) {
 				r = solveResult{done: true, dup: true, cacheHit: true, status: v.status, cycles: v.cycles, certified: v.certified}
 				r.stats.RootIntegral = v.rootIntegral
@@ -1244,7 +1155,7 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 		if a.Opts.IncumbentPrune && !a.Opts.Certify {
 			cutoff, useCutoff = incumbentLoad(&incumbents[d], dir.sense)
 		}
-		r = a.solveSet(jctx, dir, plan.sets[si], cutoff, useCutoff)
+		r = a.solveSet(jctx, plan, dir, plan.sets[si], cutoff, useCutoff)
 		r.done = true
 		spent.Add(int64(r.stats.Pivots))
 		if r.err == nil && r.status == ilp.Optimal {

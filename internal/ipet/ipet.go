@@ -155,6 +155,10 @@ type Analyzer struct {
 	*Session
 
 	annots *constraint.File
+	// atoms lists the relations of annots' reachable formulas in expansion
+	// order (constraint.AppendAtoms), each resolved to ILP columns once by
+	// Apply; every constraint set is a list of indices into it.
+	atoms []atomRow
 
 	// anytime, when non-nil, overrides the session's Deadline and Budget
 	// for this analyzer's estimates; see SetAnytime.
@@ -251,7 +255,14 @@ func (a *Session) edgeVar(ctx, e int) int { return a.ctxOff[ctx] + a.ctxNB[ctx] 
 // annotation can never surface later as a panic or a silent skip inside
 // Estimate.
 func (a *Analyzer) Apply(file *constraint.File) error {
-	for _, sec := range file.Sections {
+	// Deep-copy first: a caller mutating its annotation objects after Apply
+	// (to build the next scenario, say) must not corrupt this analyzer's —
+	// or, through a shared session's caches, another analyzer's — view, and
+	// the atom table below points into the copy.
+	annots := file.Clone()
+	var atoms []atomRow
+	var batch []*constraint.Atom
+	for _, sec := range annots.Sections {
 		if _, ok := a.ctxByFunc[sec.Func]; !ok {
 			if _, exists := a.Prog.Funcs[sec.Func]; !exists {
 				return &AnnotationError{File: sec.File, Line: sec.Line,
@@ -283,16 +294,24 @@ func (a *Analyzer) Apply(file *constraint.File) error {
 					Msg: fmt.Sprintf("bad bound %d .. %d for %s loop %d", lb.Lo, lb.Hi, sec.Func, lb.Loop)}
 			}
 		}
+		// Resolve every relation against the CFG now, so a malformed
+		// formula fails at annotation time with a positioned diagnostic
+		// instead of surfacing — or worse, being skipped — during set
+		// expansion, and so each relation is lowered once however many
+		// constraint sets it joins.
 		for _, fm := range sec.Formulas {
-			if err := a.checkFormula(fm); err != nil {
-				return err
+			batch = constraint.AppendAtoms(batch[:0], fm)
+			for _, at := range batch {
+				row, err := a.relToILP(at.Rel)
+				if err != nil {
+					return err
+				}
+				atoms = append(atoms, atomRow{atom: at, row: row})
 			}
 		}
 	}
-	// Deep-copy: a caller mutating its annotation objects after Apply (to
-	// build the next scenario, say) must not corrupt this analyzer's —
-	// or, through a shared session's caches, another analyzer's — view.
-	a.annots = file.Clone()
+	a.annots = annots
+	a.atoms = atoms
 	// New annotations change the constraint sets and loop-bound rows, so
 	// any memoized solver setup is stale.
 	a.planMu.Lock()

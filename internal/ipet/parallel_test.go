@@ -254,7 +254,7 @@ func TestSolveSetCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	r := an.solveSet(ctx, &plan.dirs[0], plan.sets[0], 0, false)
+	r := an.solveSet(ctx, plan, &plan.dirs[0], plan.sets[0], 0, false)
 	if r.err == nil {
 		t.Fatal("solveSet on a cancelled context returned no error")
 	}
@@ -342,6 +342,62 @@ func TestEstimateContextCancelled(t *testing.T) {
 		cancel()
 		if _, err := an.EstimateContext(ctx); err == nil {
 			t.Fatalf("workers=%d: cancelled estimate succeeded", workers)
+		}
+	}
+}
+
+// TestLazyWarmRowsConcurrent drives the once-per-(direction, atom) warm
+// lowering from a worker pool: on the 256-set chain every atom joins 128
+// sets, so four workers race to lower the same rows on first use. The
+// estimate must equal the sequential one counter for counter (incumbent
+// pruning off makes every job run to completion), and every atom must end
+// up lowered in both directions. CI runs it under -race -count=10.
+func TestLazyWarmRowsConcurrent(t *testing.T) {
+	src, annots := manySetProgram(8)
+	noPrune := func(workers int) func(*Options) {
+		return func(o *Options) { o.Workers, o.IncumbentPrune = workers, false }
+	}
+	seq := stripTimes(estimateOpts(t, src, annots, noPrune(1)))
+
+	exe, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := cfg.Build(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	noPrune(4)(&opts)
+	an, err := New(prog, "main", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := constraint.Parse(annots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := an.Apply(f); err != nil {
+		t.Fatal(err)
+	}
+	est, err := an.Estimate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stripTimes(est); !reflect.DeepEqual(got, seq) {
+		t.Fatalf("Workers=4 estimate differs from sequential:\n got %+v\nwant %+v", got, seq)
+	}
+	if est.NumSets != 256 || est.Stats.WarmSolves == 0 {
+		t.Fatalf("expected 256 sets solved warm, got %d sets, %d warm solves", est.NumSets, est.Stats.WarmSolves)
+	}
+	for di, d := range an.plan.dirs {
+		if len(d.warmRows) != len(an.atoms) {
+			t.Fatalf("direction %d holds %d warm rows for %d atoms", di, len(d.warmRows), len(an.atoms))
+		}
+		for k := range d.warmRows {
+			if d.warmRows[k].row == nil {
+				t.Errorf("direction %d: atom %d never lowered", di, k)
+			}
 		}
 	}
 }

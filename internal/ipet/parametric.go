@@ -691,41 +691,34 @@ func (a *Analyzer) pinEntrySum(ctxID int, entryEdges []int, pinRows []ilp.Constr
 // concrete buildSets, nothing is pruned, widened, or deduped: null-ness and
 // equality of sets are parameter-dependent here.
 func (a *Analyzer) paramSets(symIdx map[string]int, K int) (sets [][]ilp.Constraint, coefs [][][]int64, total int, err error) {
-	var formulas []constraint.Formula
-	if a.annots != nil {
-		for _, sec := range a.annots.Sections {
-			if _, reachable := a.ctxByFunc[sec.Func]; !reachable {
-				continue
-			}
-			formulas = append(formulas, sec.Formulas...)
-		}
-	}
-	conjSets, err := constraint.CrossProduct(formulas, a.Opts.MaxSets)
+	exp, err := a.expand(false)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	for _, cs := range conjSets {
-		rows := make([]ilp.Constraint, 0, len(cs))
-		rowCoefs := make([][]int64, 0, len(cs))
-		for _, r := range cs {
-			c, err := a.relToILP(r)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			var vec []int64
-			if len(r.Syms) > 0 {
-				vec = make([]int64, K)
-				for name, coef := range r.Syms {
-					vec[symIdx[name]] = coef
-				}
-			}
-			rows = append(rows, c)
-			rowCoefs = append(rowCoefs, vec)
+	// One read-only coefficient vector per symbolic atom, shared by every
+	// set the atom joins.
+	vecs := make([][]int64, len(a.atoms))
+	for k := range a.atoms {
+		syms := a.atoms[k].atom.Rel.Syms
+		if len(syms) == 0 {
+			continue
+		}
+		vecs[k] = make([]int64, K)
+		for name, coef := range syms {
+			vecs[k][symIdx[name]] = coef
+		}
+	}
+	for _, set := range exp.Sets {
+		rows := make([]ilp.Constraint, len(set))
+		rowCoefs := make([][]int64, len(set))
+		for i, k := range set {
+			rows[i] = a.atoms[k].row
+			rowCoefs[i] = vecs[k]
 		}
 		sets = append(sets, rows)
 		coefs = append(coefs, rowCoefs)
 	}
-	return sets, coefs, len(conjSets), nil
+	return sets, coefs, len(exp.Sets), nil
 }
 
 // enumerateSet enumerates the pieces of one (direction, constraint set)

@@ -3,9 +3,9 @@ package ipet
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -559,8 +559,9 @@ func (s *Session) MemoryFootprint() int64 {
 }
 
 // packedRowsKey serializes lowered rows order-sensitively (names excluded).
-// Unlike canonicalSetKey it distinguishes row order, which matters wherever
-// the identity of the solve — not just the feasible region — is cached.
+// Unlike the canonical set key (keyTable.setKey) it distinguishes row
+// order, which matters wherever the identity of the solve — not just the
+// feasible region — is cached.
 func packedRowsKey(rows []ilp.PackedRow) string {
 	var sb strings.Builder
 	for _, r := range rows {
@@ -582,26 +583,5 @@ func packedRowsKey(rows []ilp.PackedRow) string {
 // baseKey identifies a warm base: direction plus the exact loop-bound rows
 // appended to the structural prefix.
 func baseKey(di int, loopKey string) string {
-	return fmt.Sprintf("%d|%s", di, loopKey)
-}
-
-// solveKey identifies a per-set outcome: direction, the loop rows of the
-// base, and the set's canonical (order-insensitive) form. Two scenarios
-// whose sets share this key describe the identical ILP feasible region, so
-// the optimal cycle count and feasibility transfer.
-func solveKey(di int, loopKey, setKey string) string {
-	var lb [4]byte
-	binary.LittleEndian.PutUint32(lb[:], uint32(len(loopKey)))
-	return fmt.Sprintf("%d|%s%s%s", di, lb[:], loopKey, setKey)
-}
-
-// finishKey identifies a winner's canonical count vector. The winning
-// counts come from a cold solve of the set's rows as written, so the key
-// is order-sensitive: a scenario listing the same rows in another order
-// re-derives its own counts, keeping reports bit-identical to the one-shot
-// path.
-func finishKey(di int, loopKey string, set []ilp.Constraint) string {
-	var lb [4]byte
-	binary.LittleEndian.PutUint32(lb[:], uint32(len(loopKey)))
-	return fmt.Sprintf("%d|%s%s%s", di, lb[:], loopKey, packedRowsKey(ilp.Pack(set)))
+	return strconv.Itoa(di) + "|" + loopKey
 }

@@ -197,7 +197,7 @@ func (a *Session) resolveVar(v constraint.Var, coef float64, into map[int]float6
 // Resolution failures come back as *AnnotationError at the relation's source
 // position.
 func (a *Session) relToILP(r constraint.Rel) (ilp.Constraint, error) {
-	c := ilp.Constraint{Coeffs: map[int]float64{}, RHS: float64(r.RHS), Name: r.String()}
+	c := ilp.Constraint{Coeffs: make(map[int]float64, len(r.Terms)), RHS: float64(r.RHS)}
 	switch r.Op {
 	case constraint.OpEQ:
 		c.Rel = ilp.EQ
@@ -213,29 +213,4 @@ func (a *Session) relToILP(r constraint.Rel) (ilp.Constraint, error) {
 		}
 	}
 	return c, nil
-}
-
-// checkFormula resolves every relation of a formula tree against the CFG
-// without keeping the rows: Apply runs it so malformed formulas fail at
-// annotation time with a positioned diagnostic instead of surfacing — or
-// worse, being skipped — during set expansion.
-func (a *Session) checkFormula(f constraint.Formula) error {
-	switch n := f.(type) {
-	case *constraint.Atom:
-		_, err := a.relToILP(n.Rel)
-		return err
-	case *constraint.And:
-		for _, p := range n.Parts {
-			if err := a.checkFormula(p); err != nil {
-				return err
-			}
-		}
-	case *constraint.Or:
-		for _, p := range n.Parts {
-			if err := a.checkFormula(p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

@@ -25,7 +25,7 @@ const maxDecodeLen = 1 << 24
 
 type enc struct{ b []byte }
 
-func (e *enc) u8(v byte)  { e.b = append(e.b, v) }
+func (e *enc) u8(v byte) { e.b = append(e.b, v) }
 func (e *enc) u32(v uint32) {
 	var w [4]byte
 	binary.LittleEndian.PutUint32(w[:], v)

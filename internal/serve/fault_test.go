@@ -191,8 +191,12 @@ func TestChaosPanicIsolated(t *testing.T) {
 // TestWatchdogWedgedSolve wedges every solve in an uncancellable sleep:
 // the watchdog must cancel it, answer with a sound envelope (Exact=false,
 // admission "watchdog"), and flip health to degraded after the threshold.
+// The envelope comes from a pass under the token shed deadline, which
+// finishes exactly when every set solves in time; the 256-set chain keeps
+// both rounds' passes far from finishing, even with the sets the first
+// round's pass leaves in the session cache.
 func TestWatchdogWedgedSolve(t *testing.T) {
-	asmText, annots := bench.ExplosionAsm(4)
+	asmText, annots := bench.ExplosionAsm(8)
 	ref := oneShotEstimate(t, ProgramSpec{Asm: asmText, Root: "main"}, 1, annots)
 
 	inj := chaos.New(chaos.Config{Seed: 3, SolveSlowEvery: 1, SlowSolve: 2 * time.Second})

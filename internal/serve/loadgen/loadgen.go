@@ -63,8 +63,8 @@ type Result struct {
 	Errors      int64
 	TypedErrors int64
 	// Retries is the client's transport-retry total across the run.
-	Retries  int64
-	NonSound int64
+	Retries    int64
+	NonSound   int64
 	Degraded   int64
 	Shed       int64
 	Coalesced  int64
