@@ -20,6 +20,11 @@
 // text labels name functions, which is how the CFG builder (package cfg)
 // recovers function boundaries from the image, mirroring how cinderella
 // reads symbol tables out of i960 executables.
+//
+// The assembler works on statements (Stmt). Parse reads them from text and
+// the MC compiler (package cc) emits them directly; either way one backend,
+// the Assembler, turns them into the image. Render prints statements back
+// as text, and assembling the rendering gives the same image.
 package asm
 
 import (

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cinderella/internal/isa"
@@ -40,7 +41,12 @@ type dataItem struct {
 	symOff int64
 }
 
-type assembler struct {
+// Assembler is the assembler's backend. Add takes statements in source
+// order and Link builds the image from all of them: Assemble feeds it the
+// statements parsed from text, and the MC compiler (package cc) the
+// statements it emits, as it emits them. An Assembler whose Add or Link
+// has returned an error must not be used again.
+type Assembler struct {
 	text     []template
 	data     []dataItem
 	dataSize uint32
@@ -50,26 +56,52 @@ type assembler struct {
 	symLines map[string]int
 }
 
-// Assemble translates CR32 assembly source into an executable image.
+// Assemble translates CR32 assembly source into an executable image: it
+// parses the text and hands the statements to the backend.
 func Assemble(src string) (*Executable, error) {
-	stmts, err := parseSource(src)
+	stmts, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	a := &assembler{
+	a := NewAssembler()
+	if err := a.Add(stmts); err != nil {
+		return nil, err
+	}
+	return a.Link()
+}
+
+// NewAssembler returns a backend with no statements added.
+func NewAssembler() *Assembler {
+	return &Assembler{
 		textSyms: map[string]uint32{},
 		dataSyms: map[string]uint32{},
 		symLines: map[string]int{},
 	}
-	for _, s := range stmts {
-		if err := a.stmt(s); err != nil {
-			return nil, err
-		}
-	}
-	return a.link()
 }
 
-func (a *assembler) defineLabel(name string, line int) error {
+// Add assembles stmts after the statements added before them. It neither
+// modifies nor keeps stmts.
+func (a *Assembler) Add(stmts []Stmt) error {
+	n := 0
+	for i := range stmts {
+		switch stmts[i].Op {
+		case "":
+		case "la", "li":
+			n += 2 // the most a pseudo-op expands to
+		default:
+			n++
+		}
+	}
+	a.text = slices.Grow(a.text, n)
+	for i := range stmts {
+		if err := a.stmt(&stmts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (a *Assembler) defineLabel(name string, line int) error {
 	if _, dup := a.textSyms[name]; dup {
 		return errf(line, "label %q redefined (first at line %d)", name, a.symLines[name])
 	}
@@ -85,38 +117,45 @@ func (a *assembler) defineLabel(name string, line int) error {
 	return nil
 }
 
-func (a *assembler) stmt(s stmt) error {
-	if s.label != "" {
+func (a *Assembler) stmt(s *Stmt) error {
+	if s.Label != "" {
 		// Pre-align data labels so the label names the aligned payload.
-		if a.inData && s.dir == "double" {
+		if a.inData && s.Dir == "double" {
 			a.alignData(8)
-		} else if a.inData && s.dir == "word" {
+		} else if a.inData && s.Dir == "word" {
 			a.alignData(4)
 		}
-		if err := a.defineLabel(s.label, s.line); err != nil {
+		if err := a.defineLabel(s.Label, s.Line); err != nil {
 			return err
 		}
 	}
 	switch {
-	case s.dir != "":
+	case s.Dir != "":
 		return a.directive(s)
-	case s.op != "":
+	case s.Op != "":
 		if a.inData {
-			return errf(s.line, "instruction %q in data segment", s.op)
+			return errf(s.Line, "instruction %q in data segment", s.Op)
 		}
 		return a.instr(s)
 	}
 	return nil
 }
 
-func (a *assembler) alignData(n uint32) {
+func (a *Assembler) alignData(n uint32) {
 	if rem := a.dataSize % n; rem != 0 {
 		a.dataSize += n - rem
 	}
 }
 
-func (a *assembler) directive(s stmt) error {
-	switch s.dir {
+func (a *Assembler) directive(s *Stmt) error {
+	args := s.Args()
+	for _, arg := range args {
+		if arg.Kind == opBad {
+			_, err := parseOperand(arg.Text)
+			return errf(s.Line, "%v", err)
+		}
+	}
+	switch s.Dir {
 	case "text":
 		a.inData = false
 	case "data":
@@ -124,229 +163,234 @@ func (a *assembler) directive(s stmt) error {
 	case "global", "globl", "extern":
 		// Accepted for source compatibility; all symbols are global.
 	case "align":
-		if len(s.args) != 1 || s.args[0].kind != opInt || s.args[0].num <= 0 {
-			return errf(s.line, ".align wants one positive integer")
+		if len(args) != 1 || args[0].Kind != OpInt || args[0].Num <= 0 {
+			return errf(s.Line, ".align wants one positive integer")
 		}
 		if !a.inData {
-			return errf(s.line, ".align only supported in data segment")
+			return errf(s.Line, ".align only supported in data segment")
 		}
-		a.alignData(uint32(s.args[0].num))
+		a.alignData(uint32(args[0].Num))
 	case "word":
 		if !a.inData {
-			return errf(s.line, ".word only supported in data segment")
+			return errf(s.Line, ".word only supported in data segment")
 		}
 		a.alignData(4)
-		for _, arg := range s.args {
-			switch arg.kind {
-			case opInt:
+		for _, arg := range args {
+			switch arg.Kind {
+			case OpInt:
 				b := make([]byte, 4)
-				binary.LittleEndian.PutUint32(b, uint32(arg.num))
-				a.data = append(a.data, dataItem{line: s.line, off: a.dataSize, bytes: b})
-			case opSym:
-				a.data = append(a.data, dataItem{line: s.line, off: a.dataSize, sym: arg.sym, symOff: arg.off})
+				binary.LittleEndian.PutUint32(b, uint32(arg.Num))
+				a.data = append(a.data, dataItem{line: s.Line, off: a.dataSize, bytes: b})
+			case OpSym:
+				a.data = append(a.data, dataItem{line: s.Line, off: a.dataSize, sym: arg.Text, symOff: arg.Num})
 			default:
-				return errf(s.line, ".word wants integer or symbol operands")
+				return errf(s.Line, ".word wants integer or symbol operands")
 			}
 			a.dataSize += 4
 		}
 	case "byte":
 		if !a.inData {
-			return errf(s.line, ".byte only supported in data segment")
+			return errf(s.Line, ".byte only supported in data segment")
 		}
-		for _, arg := range s.args {
-			if arg.kind != opInt {
-				return errf(s.line, ".byte wants integer operands")
+		for _, arg := range args {
+			if arg.Kind != OpInt {
+				return errf(s.Line, ".byte wants integer operands")
 			}
-			a.data = append(a.data, dataItem{line: s.line, off: a.dataSize, bytes: []byte{byte(arg.num)}})
+			a.data = append(a.data, dataItem{line: s.Line, off: a.dataSize, bytes: []byte{byte(arg.Num)}})
 			a.dataSize++
 		}
 	case "double":
 		if !a.inData {
-			return errf(s.line, ".double only supported in data segment")
+			return errf(s.Line, ".double only supported in data segment")
 		}
 		a.alignData(8)
-		for _, arg := range s.args {
+		for _, arg := range args {
 			var f float64
-			switch arg.kind {
-			case opFloat:
-				f = arg.fnum
-			case opInt:
-				f = float64(arg.num)
+			switch arg.Kind {
+			case OpFloat:
+				f = math.Float64frombits(uint64(arg.Num))
+			case OpInt:
+				f = float64(arg.Num)
 			default:
-				return errf(s.line, ".double wants numeric operands")
+				return errf(s.Line, ".double wants numeric operands")
 			}
 			b := make([]byte, 8)
 			binary.LittleEndian.PutUint64(b, math.Float64bits(f))
-			a.data = append(a.data, dataItem{line: s.line, off: a.dataSize, bytes: b})
+			a.data = append(a.data, dataItem{line: s.Line, off: a.dataSize, bytes: b})
 			a.dataSize += 8
 		}
 	case "space":
 		if !a.inData {
-			return errf(s.line, ".space only supported in data segment")
+			return errf(s.Line, ".space only supported in data segment")
 		}
-		if len(s.args) != 1 || s.args[0].kind != opInt || s.args[0].num < 0 {
-			return errf(s.line, ".space wants one non-negative integer")
+		if len(args) != 1 || args[0].Kind != OpInt || args[0].Num < 0 {
+			return errf(s.Line, ".space wants one non-negative integer")
 		}
-		a.dataSize += uint32(s.args[0].num)
+		a.dataSize += uint32(args[0].Num)
 	default:
-		return errf(s.line, "unknown directive .%s", s.dir)
+		return errf(s.Line, "unknown directive .%s", s.Dir)
 	}
 	return nil
 }
 
 // emit appends one machine instruction template.
-func (a *assembler) emit(t template) { a.text = append(a.text, t) }
+func (a *Assembler) emit(t template) { a.text = append(a.text, t) }
 
-func wantArgs(s stmt, kinds ...opKind) error {
-	if len(s.args) != len(kinds) {
-		return errf(s.line, "%s wants %d operands, got %d", s.op, len(kinds), len(s.args))
+func wantArgs(s *Stmt, kinds ...OpKind) error {
+	args := s.Args()
+	if len(args) != len(kinds) {
+		return errf(s.Line, "%s wants %d operands, got %d", s.Op, len(kinds), len(args))
 	}
 	for i, k := range kinds {
-		got := s.args[i].kind
+		got := args[i].Kind
 		if got == k {
 			continue
 		}
 		// An integer literal is acceptable where a symbol target is allowed
 		// and vice versa; callers disambiguate.
-		return errf(s.line, "%s operand %d has wrong form", s.op, i+1)
+		return errf(s.Line, "%s operand %d has wrong form", s.Op, i+1)
 	}
 	return nil
 }
 
-func (a *assembler) instr(s stmt) error {
+func (a *Assembler) instr(s *Stmt) error {
+	args := s.Args()
 	// Pseudo-instructions first.
-	switch s.op {
+	switch s.Op {
 	case "li":
-		if err := wantArgs(s, opReg, opInt); err != nil {
+		if err := wantArgs(s, OpReg, OpInt); err != nil {
 			return err
 		}
-		v := s.args[1].num
+		v := args[1].Num
 		if v < math.MinInt32 || v > math.MaxUint32 {
-			return errf(s.line, "li immediate %d out of 32-bit range", v)
+			return errf(s.Line, "li immediate %d out of 32-bit range", v)
 		}
-		rd := s.args[0].reg
+		rd := args[0].Reg
 		if v >= -(1<<15) && v < 1<<15 {
-			a.emit(template{line: s.line, op: isa.OpAddi, rd: rd, imm: v})
+			a.emit(template{line: s.Line, op: isa.OpAddi, rd: rd, imm: v})
 			return nil
 		}
 		bits := uint32(v)
-		a.emit(template{line: s.line, op: isa.OpLui, rd: rd, imm: int64(int16(uint16(bits >> 16)))})
-		a.emit(template{line: s.line, op: isa.OpOri, rd: rd, rs1: rd, imm: int64(int16(uint16(bits & 0xffff)))})
+		a.emit(template{line: s.Line, op: isa.OpLui, rd: rd, imm: int64(int16(uint16(bits >> 16)))})
+		a.emit(template{line: s.Line, op: isa.OpOri, rd: rd, rs1: rd, imm: int64(int16(uint16(bits & 0xffff)))})
 		return nil
 	case "la":
-		if err := wantArgs(s, opReg, opSym); err != nil {
+		if err := wantArgs(s, OpReg, OpSym); err != nil {
 			return err
 		}
-		rd := s.args[0].reg
-		a.emit(template{line: s.line, op: isa.OpLui, rd: rd, sym: s.args[1].sym, symOff: s.args[1].off, use: symHi})
-		a.emit(template{line: s.line, op: isa.OpOri, rd: rd, rs1: rd, sym: s.args[1].sym, symOff: s.args[1].off, use: symLo})
+		rd := args[0].Reg
+		a.emit(template{line: s.Line, op: isa.OpLui, rd: rd, sym: args[1].Text, symOff: args[1].Num, use: symHi})
+		a.emit(template{line: s.Line, op: isa.OpOri, rd: rd, rs1: rd, sym: args[1].Text, symOff: args[1].Num, use: symLo})
 		return nil
 	case "mov":
-		if err := wantArgs(s, opReg, opReg); err != nil {
+		if err := wantArgs(s, OpReg, OpReg); err != nil {
 			return err
 		}
-		a.emit(template{line: s.line, op: isa.OpAdd, rd: s.args[0].reg, rs1: s.args[1].reg})
+		a.emit(template{line: s.Line, op: isa.OpAdd, rd: args[0].Reg, rs1: args[1].Reg})
 		return nil
 	case "neg":
-		if err := wantArgs(s, opReg, opReg); err != nil {
+		if err := wantArgs(s, OpReg, OpReg); err != nil {
 			return err
 		}
-		a.emit(template{line: s.line, op: isa.OpSub, rd: s.args[0].reg, rs2: s.args[1].reg})
+		a.emit(template{line: s.Line, op: isa.OpSub, rd: args[0].Reg, rs2: args[1].Reg})
 		return nil
 	case "ret":
-		if len(s.args) != 0 {
-			return errf(s.line, "ret takes no operands")
+		if len(args) != 0 {
+			return errf(s.Line, "ret takes no operands")
 		}
-		a.emit(template{line: s.line, op: isa.OpJr, rs1: isa.RegLR})
+		a.emit(template{line: s.Line, op: isa.OpJr, rs1: isa.RegLR})
 		return nil
 	case "b":
-		s.op = "jmp"
+		jmp := *s
+		jmp.Op = "jmp"
+		s = &jmp
 	case "beqz", "bnez":
-		if len(s.args) != 2 || s.args[0].kind != opReg {
-			return errf(s.line, "%s wants register, target", s.op)
+		if len(args) != 2 || args[0].Kind != OpReg {
+			return errf(s.Line, "%s wants register, target", s.Op)
 		}
 		op := isa.OpBeq
-		if s.op == "bnez" {
+		if s.Op == "bnez" {
 			op = isa.OpBne
 		}
-		return a.branch(s, op, s.args[0].reg, 0, s.args[1])
+		return a.branch(s, op, args[0].Reg, 0, args[1])
 	case "ble", "bgt":
-		if len(s.args) != 3 || s.args[0].kind != opReg || s.args[1].kind != opReg {
-			return errf(s.line, "%s wants reg, reg, target", s.op)
+		if len(args) != 3 || args[0].Kind != OpReg || args[1].Kind != OpReg {
+			return errf(s.Line, "%s wants reg, reg, target", s.Op)
 		}
 		// ble a,b == bge b,a ; bgt a,b == blt b,a.
 		op := isa.OpBge
-		if s.op == "bgt" {
+		if s.Op == "bgt" {
 			op = isa.OpBlt
 		}
-		return a.branch(s, op, s.args[1].reg, s.args[0].reg, s.args[2])
+		return a.branch(s, op, args[1].Reg, args[0].Reg, args[2])
 	}
 
-	op, ok := isa.OpcodeByName(s.op)
+	op, ok := isa.OpcodeByName(s.Op)
 	if !ok {
-		return errf(s.line, "unknown mnemonic %q", s.op)
+		return errf(s.Line, "unknown mnemonic %q", s.Op)
 	}
 	info := isa.InfoFor(op)
 	switch info.Format {
 	case isa.FmtNone:
-		if len(s.args) != 0 {
-			return errf(s.line, "%s takes no operands", s.op)
+		if len(args) != 0 {
+			return errf(s.Line, "%s takes no operands", s.Op)
 		}
-		a.emit(template{line: s.line, op: op})
+		a.emit(template{line: s.Line, op: op})
 		return nil
 	case isa.FmtR:
 		return a.instrR(s, op, info)
 	case isa.FmtI:
 		return a.instrI(s, op)
 	case isa.FmtB:
-		if len(s.args) != 3 || s.args[0].kind != opReg || s.args[1].kind != opReg {
-			return errf(s.line, "%s wants reg, reg, target", s.op)
+		if len(args) != 3 || args[0].Kind != OpReg || args[1].Kind != OpReg {
+			return errf(s.Line, "%s wants reg, reg, target", s.Op)
 		}
-		return a.branch(s, op, s.args[0].reg, s.args[1].reg, s.args[2])
+		return a.branch(s, op, args[0].Reg, args[1].Reg, args[2])
 	case isa.FmtJ:
-		if len(s.args) != 1 {
-			return errf(s.line, "%s wants one target operand", s.op)
+		if len(args) != 1 {
+			return errf(s.Line, "%s wants one target operand", s.Op)
 		}
-		switch s.args[0].kind {
-		case opSym:
-			a.emit(template{line: s.line, op: op, sym: s.args[0].sym, symOff: s.args[0].off, use: symAbs})
-		case opInt:
-			if s.args[0].num%isa.WordBytes != 0 {
-				return errf(s.line, "%s target %d not word aligned", s.op, s.args[0].num)
+		switch args[0].Kind {
+		case OpSym:
+			a.emit(template{line: s.Line, op: op, sym: args[0].Text, symOff: args[0].Num, use: symAbs})
+		case OpInt:
+			if args[0].Num%isa.WordBytes != 0 {
+				return errf(s.Line, "%s target %d not word aligned", s.Op, args[0].Num)
 			}
-			a.emit(template{line: s.line, op: op, imm: s.args[0].num / isa.WordBytes})
+			a.emit(template{line: s.Line, op: op, imm: args[0].Num / isa.WordBytes})
 		default:
-			return errf(s.line, "%s wants label or address", s.op)
+			return errf(s.Line, "%s wants label or address", s.Op)
 		}
 		return nil
 	}
-	return errf(s.line, "unhandled format for %s", s.op)
+	return errf(s.Line, "unhandled format for %s", s.Op)
 }
 
 // regKinds returns the operand register-file kinds expected for an R-format op.
-func regKinds(op isa.Opcode) (dst, src opKind, unary bool) {
+func regKinds(op isa.Opcode) (dst, src OpKind, unary bool) {
 	switch op {
 	case isa.OpFneg, isa.OpFabs, isa.OpFsqrt, isa.OpFsin, isa.OpFcos,
 		isa.OpFatan, isa.OpFexp, isa.OpFlog, isa.OpFmov:
-		return opFreg, opFreg, true
+		return OpFreg, OpFreg, true
 	case isa.OpFcvtIF:
-		return opFreg, opReg, true
+		return OpFreg, OpReg, true
 	case isa.OpFcvtFI:
-		return opReg, opFreg, true
+		return OpReg, OpFreg, true
 	case isa.OpFeq, isa.OpFlt, isa.OpFle:
-		return opReg, opFreg, false
+		return OpReg, OpFreg, false
 	case isa.OpFadd, isa.OpFsub, isa.OpFmul, isa.OpFdiv:
-		return opFreg, opFreg, false
+		return OpFreg, OpFreg, false
 	}
-	return opReg, opReg, false
+	return OpReg, OpReg, false
 }
 
-func (a *assembler) instrR(s stmt, op isa.Opcode, info isa.Info) error {
+func (a *Assembler) instrR(s *Stmt, op isa.Opcode, info isa.Info) error {
+	args := s.Args()
 	if op == isa.OpJr {
-		if len(s.args) != 1 || s.args[0].kind != opReg {
-			return errf(s.line, "jr wants one integer register")
+		if len(args) != 1 || args[0].Kind != OpReg {
+			return errf(s.Line, "jr wants one integer register")
 		}
-		a.emit(template{line: s.line, op: op, rs1: s.args[0].reg})
+		a.emit(template{line: s.Line, op: op, rs1: args[0].Reg})
 		return nil
 	}
 	dstK, srcK, unary := regKinds(op)
@@ -354,77 +398,78 @@ func (a *assembler) instrR(s stmt, op isa.Opcode, info isa.Info) error {
 	if unary {
 		want = 2
 	}
-	if len(s.args) != want {
-		return errf(s.line, "%s wants %d operands, got %d", s.op, want, len(s.args))
+	if len(args) != want {
+		return errf(s.Line, "%s wants %d operands, got %d", s.Op, want, len(args))
 	}
-	if s.args[0].kind != dstK {
-		return errf(s.line, "%s destination must be %s register", s.op, regKindName(dstK))
+	if args[0].Kind != dstK {
+		return errf(s.Line, "%s destination must be %s register", s.Op, regKindName(dstK))
 	}
-	for _, arg := range s.args[1:] {
-		if arg.kind != srcK {
-			return errf(s.line, "%s sources must be %s registers", s.op, regKindName(srcK))
+	for _, arg := range args[1:] {
+		if arg.Kind != srcK {
+			return errf(s.Line, "%s sources must be %s registers", s.Op, regKindName(srcK))
 		}
 	}
-	t := template{line: s.line, op: op, rd: s.args[0].reg, rs1: s.args[1].reg}
+	t := template{line: s.Line, op: op, rd: args[0].Reg, rs1: args[1].Reg}
 	if !unary {
-		t.rs2 = s.args[2].reg
+		t.rs2 = args[2].Reg
 	}
 	a.emit(t)
 	return nil
 }
 
-func regKindName(k opKind) string {
-	if k == opFreg {
+func regKindName(k OpKind) string {
+	if k == OpFreg {
 		return "float"
 	}
 	return "integer"
 }
 
-func (a *assembler) instrI(s stmt, op isa.Opcode) error {
+func (a *Assembler) instrI(s *Stmt, op isa.Opcode) error {
+	args := s.Args()
 	switch op {
 	case isa.OpLw, isa.OpLb, isa.OpLbu, isa.OpSw, isa.OpSb:
-		if len(s.args) != 2 || s.args[0].kind != opReg || s.args[1].kind != opMem {
-			return errf(s.line, "%s wants reg, off(reg)", s.op)
+		if len(args) != 2 || args[0].Kind != OpReg || args[1].Kind != OpMem {
+			return errf(s.Line, "%s wants reg, off(reg)", s.Op)
 		}
-		a.emit(template{line: s.line, op: op, rd: s.args[0].reg, rs1: s.args[1].reg, imm: s.args[1].num})
+		a.emit(template{line: s.Line, op: op, rd: args[0].Reg, rs1: args[1].Reg, imm: args[1].Num})
 		return nil
 	case isa.OpFld, isa.OpFst:
-		if len(s.args) != 2 || s.args[0].kind != opFreg || s.args[1].kind != opMem {
-			return errf(s.line, "%s wants freg, off(reg)", s.op)
+		if len(args) != 2 || args[0].Kind != OpFreg || args[1].Kind != OpMem {
+			return errf(s.Line, "%s wants freg, off(reg)", s.Op)
 		}
-		a.emit(template{line: s.line, op: op, rd: s.args[0].reg, rs1: s.args[1].reg, imm: s.args[1].num})
+		a.emit(template{line: s.Line, op: op, rd: args[0].Reg, rs1: args[1].Reg, imm: args[1].Num})
 		return nil
 	case isa.OpLui:
-		if len(s.args) != 2 || s.args[0].kind != opReg || s.args[1].kind != opInt {
-			return errf(s.line, "lui wants reg, imm")
+		if len(args) != 2 || args[0].Kind != OpReg || args[1].Kind != OpInt {
+			return errf(s.Line, "lui wants reg, imm")
 		}
-		a.emit(template{line: s.line, op: op, rd: s.args[0].reg, imm: s.args[1].num})
+		a.emit(template{line: s.Line, op: op, rd: args[0].Reg, imm: args[1].Num})
 		return nil
 	}
-	if len(s.args) != 3 || s.args[0].kind != opReg || s.args[1].kind != opReg || s.args[2].kind != opInt {
-		return errf(s.line, "%s wants reg, reg, imm", s.op)
+	if len(args) != 3 || args[0].Kind != OpReg || args[1].Kind != OpReg || args[2].Kind != OpInt {
+		return errf(s.Line, "%s wants reg, reg, imm", s.Op)
 	}
-	a.emit(template{line: s.line, op: op, rd: s.args[0].reg, rs1: s.args[1].reg, imm: s.args[2].num})
+	a.emit(template{line: s.Line, op: op, rd: args[0].Reg, rs1: args[1].Reg, imm: args[2].Num})
 	return nil
 }
 
-func (a *assembler) branch(s stmt, op isa.Opcode, rs1, rs2 uint8, target operand) error {
-	t := template{line: s.line, op: op, rs1: rs1, rs2: rs2}
-	switch target.kind {
-	case opSym:
-		t.sym, t.symOff, t.use = target.sym, target.off, symBranch
-	case opInt:
-		t.imm = target.num
+func (a *Assembler) branch(s *Stmt, op isa.Opcode, rs1, rs2 uint8, target Operand) error {
+	t := template{line: s.Line, op: op, rs1: rs1, rs2: rs2}
+	switch target.Kind {
+	case OpSym:
+		t.sym, t.symOff, t.use = target.Text, target.Num, symBranch
+	case OpInt:
+		t.imm = target.Num
 	default:
-		return errf(s.line, "%s wants label or offset target", s.op)
+		return errf(s.Line, "%s wants label or offset target", s.Op)
 	}
 	a.emit(t)
 	return nil
 }
 
-// link resolves symbols, encodes the text, lays out data and builds the
-// executable image.
-func (a *assembler) link() (*Executable, error) {
+// Link resolves symbols, encodes the text, lays out data and builds the
+// executable image from every statement added.
+func (a *Assembler) Link() (*Executable, error) {
 	textBytes := uint32(len(a.text)) * isa.WordBytes
 	dataBase := textBytes
 	if rem := dataBase % DataAlign; rem != 0 {

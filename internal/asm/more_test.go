@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -136,5 +138,100 @@ func TestMemOperandWithoutOffset(t *testing.T) {
 	ins, _ := exe.Instr(0)
 	if ins.Op != isa.OpLw || ins.Imm != 0 || ins.Rs1 != isa.RegSP {
 		t.Fatalf("bare (reg) operand: %+v", ins)
+	}
+}
+
+// TestRenderRoundTrip checks that Render prints parsed statements back in
+// the layout they were written in, literals with their spelling.
+func TestRenderRoundTrip(t *testing.T) {
+	src := `        .text
+main:
+        addi sp, sp, -8
+        sw r2, 0(sp)
+        la r4, g_x+4
+        la r5, g_x-4
+        li r3, 'a'
+        beq r2, r0, .Ldone
+        fld f2, -16(fp)
+.Ldone:
+        ret
+        .data
+g_x: .word 1, 2, 3, 4, 5
+g_y: .double -0, 1.0, +Inf
+        .align 8
+buf: .space 16
+`
+	stmts, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Render(stmts); got != src {
+		t.Fatalf("Render(Parse(src)) =\n%s\nwant\n%s", got, src)
+	}
+}
+
+// TestAssemblerAddInRuns checks that handing the backend statements a run
+// at a time builds the image one Add of all of them builds.
+func TestAssemblerAddInRuns(t *testing.T) {
+	stmts, err := Parse(`
+main:   li r2, 70000
+        la r3, tab
+.Lloop: beq r2, r0, .Ldone
+        addi r2, r2, -1
+        jmp .Lloop
+.Ldone: call f
+        halt
+f:      ret
+        .data
+tab:    .word main, f, 3
+d:      .double 2.5
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := NewAssembler()
+	if err := whole.Add(stmts); err != nil {
+		t.Fatal(err)
+	}
+	want, err := whole.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := NewAssembler()
+	for i := range stmts {
+		if err := runs.Add(stmts[i : i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := runs.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("run-at-a-time image differs from the whole-slice image")
+	}
+}
+
+// TestLiteral checks that Literal yields the operand Parse reads, spelled
+// as given, and that a literal Parse rejects fails assembly with the
+// parser's diagnostic.
+func TestLiteral(t *testing.T) {
+	if o := Literal("-0"); o.Kind != OpInt || o.Num != 0 || o.Text != "-0" {
+		t.Errorf(`Literal("-0") = %+v`, o)
+	}
+	if o := Literal("2.5"); o.Kind != OpFloat || math.Float64frombits(uint64(o.Num)) != 2.5 {
+		t.Errorf(`Literal("2.5") = %+v`, o)
+	}
+	bad := Directive("double", Literal("+Inf.0"))
+	bad.Label, bad.Line = "x", 3
+	stmts := []Stmt{Directive("data"), bad}
+	if got := Render(stmts); got != "        .data\nx: .double +Inf.0\n" {
+		t.Errorf("rendered %q", got)
+	}
+	_, textErr := Assemble("\n\nx: .double +Inf.0\n")
+	a := NewAssembler()
+	err := a.Add(stmts)
+	if err == nil || textErr == nil || err.Error() != textErr.Error() {
+		t.Errorf("Add error %v, Assemble error %v", err, textErr)
 	}
 }

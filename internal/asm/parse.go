@@ -2,42 +2,10 @@ package asm
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
-
-// operand is one parsed instruction operand.
-type operand struct {
-	kind opKind
-	reg  uint8 // register number for opReg/opFreg and base for opMem
-	num  int64 // integer literal / memory offset
-	fnum float64
-	sym  string // symbol name for opSym / symbolic .word
-	off  int64  // addend for sym+off
-}
-
-type opKind uint8
-
-const (
-	opReg opKind = iota
-	opFreg
-	opInt
-	opFloat
-	opSym // symbol, optionally with +/- addend
-	opMem // off(reg)
-)
-
-// stmt is one parsed source statement (after label extraction).
-type stmt struct {
-	line  int
-	label string // label defined on this line ("" when none)
-
-	// Exactly one of the following describes the statement body; an empty
-	// op with no directive is a label-only line.
-	op   string    // instruction mnemonic (possibly pseudo)
-	dir  string    // directive name without the dot
-	args []operand // operands for instructions and directives
-}
 
 var intRegAliases = map[string]uint8{
 	"zero": 0, "rv": 1, "fp": 13, "lr": 14, "sp": 15,
@@ -115,18 +83,19 @@ func parseInt(tok string) (int64, error) {
 	return strconv.ParseInt(tok, 0, 64)
 }
 
-// parseOperand parses one comma-separated operand token.
-func parseOperand(tok string) (operand, error) {
+// parseOperand parses one comma-separated operand token. Literals keep
+// their spelling as Text.
+func parseOperand(tok string) (Operand, error) {
 	tok = strings.TrimSpace(tok)
 	if tok == "" {
-		return operand{}, fmt.Errorf("empty operand")
+		return Operand{}, fmt.Errorf("empty operand")
 	}
 	// Memory operand: off(reg) or (reg).
 	if i := strings.IndexByte(tok, '('); i >= 0 && strings.HasSuffix(tok, ")") {
 		base := strings.TrimSpace(tok[i+1 : len(tok)-1])
 		reg, isF, ok := parseReg(base)
 		if !ok || isF {
-			return operand{}, fmt.Errorf("bad base register %q", base)
+			return Operand{}, fmt.Errorf("bad base register %q", base)
 		}
 		offTok := strings.TrimSpace(tok[:i])
 		var off int64
@@ -134,17 +103,16 @@ func parseOperand(tok string) (operand, error) {
 			var err error
 			off, err = parseInt(offTok)
 			if err != nil {
-				return operand{}, fmt.Errorf("bad memory offset %q", offTok)
+				return Operand{}, fmt.Errorf("bad memory offset %q", offTok)
 			}
 		}
-		return operand{kind: opMem, reg: reg, num: off}, nil
+		return Mem(off, reg), nil
 	}
 	if reg, isF, ok := parseReg(tok); ok {
-		k := opReg
 		if isF {
-			k = opFreg
+			return FReg(reg), nil
 		}
-		return operand{kind: k, reg: reg}, nil
+		return Reg(reg), nil
 	}
 	if isIdentStart(tok[0]) {
 		// Symbol, optionally sym+n / sym-n.
@@ -155,7 +123,7 @@ func parseOperand(tok string) (operand, error) {
 				name = tok[:i]
 				v, err := parseInt(tok[i+1:])
 				if err != nil {
-					return operand{}, fmt.Errorf("bad symbol addend in %q", tok)
+					return Operand{}, fmt.Errorf("bad symbol addend in %q", tok)
 				}
 				if tok[i] == '-' {
 					v = -v
@@ -164,18 +132,18 @@ func parseOperand(tok string) (operand, error) {
 				break
 			}
 			if !isIdentChar(tok[i]) {
-				return operand{}, fmt.Errorf("bad operand %q", tok)
+				return Operand{}, fmt.Errorf("bad operand %q", tok)
 			}
 		}
-		return operand{kind: opSym, sym: name, off: off}, nil
+		return Operand{Kind: OpSym, Text: name, Num: off}, nil
 	}
 	if n, err := parseInt(tok); err == nil {
-		return operand{kind: opInt, num: n}, nil
+		return Operand{Kind: OpInt, Num: n, Text: tok}, nil
 	}
 	if f, err := strconv.ParseFloat(tok, 64); err == nil {
-		return operand{kind: opFloat, fnum: f}, nil
+		return Operand{Kind: OpFloat, Num: int64(math.Float64bits(f)), Text: tok}, nil
 	}
-	return operand{}, fmt.Errorf("bad operand %q", tok)
+	return Operand{}, fmt.Errorf("bad operand %q", tok)
 }
 
 // splitOperands splits on commas that are outside char literals.
@@ -212,23 +180,24 @@ func splitOperands(s string) []string {
 	return parts
 }
 
-// parseSource splits assembly source into statements.
-func parseSource(src string) ([]stmt, error) {
-	var out []stmt
+// Parse splits assembly source into statements; blank and comment-only
+// lines yield none.
+func Parse(src string) ([]Stmt, error) {
+	var out []Stmt
 	for lineNo, raw := range strings.Split(src, "\n") {
 		line := strings.TrimSpace(stripComment(raw))
 		n := lineNo + 1
 		if line == "" {
 			continue
 		}
-		s := stmt{line: n}
+		s := Stmt{Line: n}
 		// Label?
 		if i := strings.IndexByte(line, ':'); i >= 0 {
 			lab := strings.TrimSpace(line[:i])
 			if lab != "" && isIdentStart(lab[0]) && strings.IndexFunc(lab, func(r rune) bool {
 				return !isIdentChar(byte(r))
 			}) < 0 {
-				s.label = lab
+				s.Label = lab
 				line = strings.TrimSpace(line[i+1:])
 			}
 		}
@@ -244,17 +213,28 @@ func parseSource(src string) ([]stmt, error) {
 			rest = strings.TrimSpace(fields[1])
 		}
 		if strings.HasPrefix(head, ".") {
-			s.dir = head[1:]
+			s.Dir = head[1:]
 		} else {
-			s.op = strings.ToLower(head)
+			s.Op = strings.ToLower(head)
 		}
 		if rest != "" {
-			for _, tok := range splitOperands(rest) {
+			toks := splitOperands(rest)
+			if len(toks) > len(s.Arg) {
+				s.List = make([]Operand, len(toks))
+			}
+			args := s.Arg[:]
+			if s.List != nil {
+				args = s.List
+			}
+			for i, tok := range toks {
 				op, err := parseOperand(tok)
 				if err != nil {
 					return nil, errf(n, "%v", err)
 				}
-				s.args = append(s.args, op)
+				args[i] = op
+			}
+			if s.List == nil {
+				s.NArg = uint8(len(toks))
 			}
 		}
 		out = append(out, s)

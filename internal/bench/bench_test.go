@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
 	"cinderella/internal/cc"
@@ -335,19 +336,40 @@ func TestCompilesDeterministically(t *testing.T) {
 // TestBenchProgramsSparseDenseDifferential rebuilds the whole suite with
 // the solver's sparse/dense self-check armed: every simplex call made
 // while estimating the 13 benchmarks is replayed through the dense oracle,
-// and any divergence in status or objective panics. This extends the
-// fixture-level differential of internal/ilp to the production workloads.
+// every warm solve through the cold kernels, and any divergence in status
+// or objective panics. This extends the fixture-level differential of
+// internal/ilp to the production workloads. The estimator recovers a
+// panicking set solve as a crashed set and falls back to its envelope, so
+// a divergence shows as a degraded report, not a test failure: each
+// program's bounds must be Exact, with no widened or unsolved sets, and
+// its reports those of a run without the self-check.
 func TestBenchProgramsSparseDenseDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("rebuilds the full suite twice per LP")
 	}
-	ilp.SetSelfCheck(true)
 	defer ilp.SetSelfCheck(false)
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			if _, err := b.Build(ipet.DefaultOptions()); err != nil {
+			ilp.SetSelfCheck(false)
+			plain, err := b.Build(ipet.DefaultOptions())
+			if err != nil {
 				t.Fatal(err)
+			}
+			ilp.SetSelfCheck(true)
+			checked, err := b.Build(ipet.DefaultOptions())
+			ilp.SetSelfCheck(false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := checked.Est
+			if !est.WCET.Exact || !est.BCET.Exact || est.Stats.SetsWidened != 0 || est.Stats.SetsUnsolved != 0 {
+				t.Errorf("self-checked estimate degraded: WCET exact=%v BCET exact=%v, %d sets widened, %d unsolved",
+					est.WCET.Exact, est.BCET.Exact, est.Stats.SetsWidened, est.Stats.SetsUnsolved)
+			}
+			if !reflect.DeepEqual(est.WCET, plain.Est.WCET) || !reflect.DeepEqual(est.BCET, plain.Est.BCET) {
+				t.Errorf("self-checked bounds [%d, %d] differ from the unchecked [%d, %d]",
+					est.BCET.Cycles, est.WCET.Cycles, plain.Est.BCET.Cycles, plain.Est.WCET.Cycles)
 			}
 		})
 	}

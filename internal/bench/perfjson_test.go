@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cinderella/internal/asm"
+	"cinderella/internal/cc"
 	"cinderella/internal/cfg"
 	"cinderella/internal/constraint"
 	"cinderella/internal/ipet"
@@ -187,6 +188,7 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 	recs = append(recs, sessionRows(t)...)
 	recs = append(recs, parametricRows(t)...)
 	recs = append(recs, prepareRows(t)...)
+	recs = append(recs, compileRows(t)...)
 
 	path := os.Getenv("CINDERELLA_BENCH_JSON")
 	if path == "" {
@@ -208,6 +210,52 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 	}
 	t.Logf("wrote %s (%d rows); explosion64 pivots cold %d -> incremental %d",
 		path, len(recs), coldP, incrP)
+}
+
+// compileWorkload is one front-end row of the perf artifact: compiling a
+// Table I program to an executable image, plain or peephole-optimized.
+type compileWorkload struct {
+	name  string
+	src   string
+	build func(string) (*asm.Executable, *cc.Program, error)
+}
+
+func compileWorkloads(t *testing.T) []compileWorkload {
+	t.Helper()
+	src := func(name string) string {
+		bm, ok := ByName(name)
+		if !ok {
+			t.Fatalf("unknown benchmark %q", name)
+		}
+		return bm.Source
+	}
+	return []compileWorkload{
+		{"dhry/compile", src("dhry"), cc.Build},
+		{"jpeg_idct_islow/compile", src("jpeg_idct_islow"), cc.Build},
+		{"dhry/compile-O", src("dhry"), cc.BuildOptimized},
+	}
+}
+
+// compileRows measures ns/op and allocs/op of the compile workloads.
+func compileRows(t *testing.T) []EstimatePerf {
+	t.Helper()
+	var rows []EstimatePerf
+	for _, w := range compileWorkloads(t) {
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := w.build(w.src); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		rows = append(rows, EstimatePerf{
+			Name:        w.name,
+			NsPerOp:     float64(res.NsPerOp()),
+			AllocsPerOp: float64(res.AllocsPerOp()),
+		})
+	}
+	return rows
 }
 
 // TestCertifiedBenchmarksIdentical is the certification bit-identity gate
@@ -483,8 +531,10 @@ func warmSession(t *testing.T, w sessionBench, opts ipet.Options) ([2]*ipet.Anal
 // replays the perf workloads (whose pivot counters are deterministic at
 // Workers=1) and fails when one spends far more simplex pivots than the
 // committed BENCH_estimate.json row — a solver-work regression that pure
-// timing noise could hide. Refresh the artifact after intentional solver
-// changes with:
+// timing noise could hide. It holds the estimate and compile workloads to
+// their committed allocs/op the same way, except in race builds, where
+// the allocation counts measure the detector. Refresh the artifact after
+// intentional solver changes with:
 //
 //	CINDERELLA_BENCH_JSON=$PWD/BENCH_estimate.json go test -run TestWriteEstimateBenchJSON ./internal/bench/
 func TestEstimatePivotRegressionVsCommitted(t *testing.T) {
@@ -519,11 +569,15 @@ func TestEstimatePivotRegressionVsCommitted(t *testing.T) {
 				name, pivots, c.Pivots, limit)
 		}
 	}
-	checkAllocs := func(name string, allocs float64) {
+	if raceEnabled {
+		t.Log("race detector on: allocation checks skipped (the race runtime drops sync.Pool items); pivot checks run")
+	}
+	checkAllocs := func(name string, run func()) {
 		c, ok := byName[name]
-		if !ok || c.AllocsPerOp == 0 {
-			return // pivot check already flags a missing row
+		if raceEnabled || !ok || c.AllocsPerOp == 0 {
+			return // the pivot or row check already flags a missing row
 		}
+		allocs := testing.AllocsPerRun(3, run)
 		// Same spirit as the pivot gate: catch the steady-state solve paths
 		// growing per-op allocations (a pooled scratch regressing to fresh
 		// slices), not runtime-version jitter.
@@ -545,11 +599,22 @@ func TestEstimatePivotRegressionVsCommitted(t *testing.T) {
 		}
 		check(w.name, est.Stats.Pivots)
 		an := w.an
-		checkAllocs(w.name, testing.AllocsPerRun(3, func() {
+		checkAllocs(w.name, func() {
 			if _, err := an.Estimate(); err != nil {
 				t.Fatal(err)
 			}
-		}))
+		})
+	}
+	for _, w := range compileWorkloads(t) {
+		if _, ok := byName[w.name]; !ok {
+			t.Errorf("committed artifact lacks row %q; refresh BENCH_estimate.json", w.name)
+			continue
+		}
+		checkAllocs(w.name, func() {
+			if _, _, err := w.build(w.src); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	workloads, opts := sessionBenchWorkloads(t)
 	for _, w := range workloads {

@@ -2,15 +2,19 @@ package cc
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+
+	"cinderella/internal/asm"
+	"cinderella/internal/isa"
 )
 
 // Code generation model
 //
-// MC compiles to CR32 assembly (package asm) with a simple accumulator
-// scheme: every expression leaves its value in r2 (int) or f2 (float);
-// partial results are pushed on the machine stack. All stack slots are 8
-// bytes so float values stay 8-aligned.
+// MC compiles to CR32 assembly statements (package asm) with a simple
+// accumulator scheme: every expression leaves its value in r2 (int) or f2
+// (float); partial results are pushed on the machine stack. All stack
+// slots are 8 bytes so float values stay 8-aligned.
 //
 // Calling convention (shared with sim.Machine.Call):
 //   - argument i occupies the 8-byte slot at sp + 8*i on entry
@@ -29,19 +33,26 @@ import (
 // halts, so images can be either Run from reset or entered per-function
 // with sim.Machine.Call.
 
-const (
-	accInt   = "r2" // integer accumulator
-	secInt   = "r3" // integer secondary (popped operands)
-	addrReg  = "r4" // address scratch
-	scratch  = "r5" // extra integer scratch
-	accFloat = "f2"
-	secFloat = "f3"
+var (
+	accInt   = asm.Reg(2) // integer accumulator
+	secInt   = asm.Reg(3) // integer secondary (popped operands)
+	addrReg  = asm.Reg(4) // address scratch
+	scratch  = asm.Reg(5) // extra integer scratch
+	accFloat = asm.FReg(2)
+	secFloat = asm.FReg(3)
+
+	r0, r1     = asm.Reg(isa.RegZero), asm.Reg(isa.RegRV)
+	f1         = asm.FReg(isa.FRegRV)
+	sp, fp, lr = asm.Reg(isa.RegSP), asm.Reg(isa.RegFP), asm.Reg(isa.RegLR)
 )
 
-// codegen emits CR32 assembly for a checked program.
+// codegen emits CR32 assembly statements for a checked program. It hands
+// them to sink a run at a time: each run but the first starts with a
+// label, and the statements of the runs, in order, are the program.
 type codegen struct {
-	buf    strings.Builder
-	data   strings.Builder
+	sink   func([]asm.Stmt)
+	out    []asm.Stmt // the current run; sink must not keep it
+	pool   []asm.Stmt // float constant data, placed after the globals
 	labels int
 	fn     *FuncDecl
 
@@ -62,33 +73,44 @@ type codegen struct {
 	poolN     int
 }
 
-// Generate emits assembly for a parsed and checked program.
+// Generate emits assembly text for a parsed and checked program: the
+// rendering (asm.Render) of the statements Build assembles.
 func Generate(prog *Program) (string, error) {
-	g := &codegen{floatPool: map[float64]string{}}
-	g.emit("        .text")
-	g.emit("_start:")
-	g.emit("        call main")
-	g.emit("        halt")
+	var all []asm.Stmt
+	if err := generate(prog, func(run []asm.Stmt) { all = append(all, run...) }); err != nil {
+		return "", err
+	}
+	return asm.Render(all), nil
+}
+
+// generate emits the assembly statements of a checked program to sink.
+func generate(prog *Program, sink func([]asm.Stmt)) error {
+	g := &codegen{sink: sink, floatPool: map[float64]string{}}
+	g.out = append(g.out, asm.Directive("text"))
+	g.label("_start")
+	g.ins("call", asm.Sym("main"))
+	g.ins("halt")
 	hasMain := false
 	for _, f := range prog.Funcs {
 		if f.Name == "main" {
 			hasMain = true
 		}
 		if err := g.function(f); err != nil {
-			return "", err
+			return err
 		}
 	}
 	if !hasMain {
-		return "", fmt.Errorf("cc: program has no main function")
+		return fmt.Errorf("cc: program has no main function")
 	}
-	g.emit("        .data")
+	g.out = append(g.out, asm.Directive("data"))
 	for _, gv := range prog.Globals {
 		if err := g.globalData(gv); err != nil {
-			return "", err
+			return err
 		}
 	}
-	g.buf.WriteString(g.data.String())
-	return g.buf.String(), nil
+	g.out = append(g.out, g.pool...)
+	g.flush()
+	return nil
 }
 
 // Compile parses, checks and generates assembly in one step.
@@ -103,17 +125,41 @@ func Compile(src string) (string, error) {
 	return Generate(prog)
 }
 
-func (g *codegen) emit(s string)                         { g.buf.WriteString(s); g.buf.WriteByte('\n') }
-func (g *codegen) emitf(format string, a ...interface{}) { fmt.Fprintf(&g.buf, format+"\n", a...) }
-func (g *codegen) ins(format string, a ...interface{}) {
-	fmt.Fprintf(&g.buf, "        "+format+"\n", a...)
+// ins emits an instruction of at most three operands.
+func (g *codegen) ins(op string, args ...asm.Operand) {
+	g.out = append(g.out, asm.Instr(op, args...))
 }
-func (g *codegen) label(l string) { g.emitf("%s:", l); g.terminated = false }
+
+// label emits a label-only statement, which starts a new run.
+func (g *codegen) label(l string) {
+	g.flush()
+	g.out = append(g.out, asm.Stmt{Label: l})
+	g.terminated = false
+}
+
+// flush hands the current run to the sink and starts an empty one.
+func (g *codegen) flush() {
+	g.sink(g.out)
+	g.out = g.out[:0]
+}
+
+// labeled returns the directive d defining label l.
+func labeled(l string, d asm.Stmt) asm.Stmt { d.Label = l; return d }
 
 func (g *codegen) newLabel(hint string) string {
 	g.labels++
-	return fmt.Sprintf(".L%s_%s%d", g.fn.Name, hint, g.labels)
+	return ".L" + g.fn.Name + "_" + hint + strconv.Itoa(g.labels)
 }
+
+// imm is an integer literal operand.
+func imm(v int) asm.Operand { return asm.Imm(int64(v)) }
+
+// fpAt and spAt are the memory operands off(fp) and off(sp).
+func fpAt(off int) asm.Operand { return asm.Mem(int64(off), isa.RegFP) }
+func spAt(off int) asm.Operand { return asm.Mem(int64(off), isa.RegSP) }
+
+// at is the memory operand 0(base) for an integer register operand.
+func at(base asm.Operand) asm.Operand { return asm.Mem(0, base.Reg) }
 
 // globalSym returns the assembler symbol for a global variable.
 func globalSym(name string) string { return "g_" + name }
@@ -130,7 +176,9 @@ func (g *codegen) globalData(gv *VarDecl) error {
 				}
 				f = fv
 			}
-			g.emitf("%s: .double %v", globalSym(gv.Name), f)
+			// Scalars print with %v (3.0 as "3"), unlike floatForm's
+			// arrays and constants.
+			g.out = append(g.out, labeled(globalSym(gv.Name), asm.Directive("double", asm.Literal(fmt.Sprint(f)))))
 			return nil
 		}
 		v := int64(0)
@@ -141,7 +189,7 @@ func (g *codegen) globalData(gv *VarDecl) error {
 			}
 			v = iv
 		}
-		g.emitf("%s: .word %d", globalSym(gv.Name), v)
+		g.out = append(g.out, labeled(globalSym(gv.Name), asm.Directive("word", asm.Imm(v))))
 		return nil
 	}
 	n := 1
@@ -149,41 +197,41 @@ func (g *codegen) globalData(gv *VarDecl) error {
 		n *= d
 	}
 	if gv.ArrayInit == nil {
+		align := 4
 		if gv.Type.Kind == TFloat {
-			g.emit("        .align 8")
-		} else {
-			g.emit("        .align 4")
+			align = 8
 		}
-		g.emitf("%s: .space %d", globalSym(gv.Name), n*gv.Type.ScalarSize())
+		g.out = append(g.out, asm.Directive("align", imm(align)),
+			labeled(globalSym(gv.Name), asm.Directive("space", imm(n*gv.Type.ScalarSize()))))
 		return nil
 	}
-	var vals []string
+	vals := make([]asm.Operand, 0, n)
 	for _, e := range gv.ArrayInit {
 		iv, fv, err := c.foldConst(e)
 		if err != nil {
 			return err
 		}
 		if gv.Type.Kind == TFloat {
-			vals = append(vals, floatForm(fv))
+			vals = append(vals, asm.Literal(floatForm(fv)))
 		} else {
-			vals = append(vals, fmt.Sprintf("%d", int32(iv)))
+			vals = append(vals, asm.Imm(int64(int32(iv))))
 		}
 	}
 	for len(vals) < n {
-		vals = append(vals, "0")
+		vals = append(vals, asm.Imm(0))
 	}
-	dir := ".word"
+	dir := "word"
 	if gv.Type.Kind == TFloat {
-		dir = ".double"
+		dir = "double"
 	}
 	// Emit in comfortable runs.
-	g.emitf("%s:", globalSym(gv.Name))
+	g.out = append(g.out, asm.Stmt{Label: globalSym(gv.Name)})
 	for i := 0; i < len(vals); i += 8 {
 		end := i + 8
 		if end > len(vals) {
 			end = len(vals)
 		}
-		g.emitf("        %s %s", dir, strings.Join(vals[i:end], ", "))
+		g.out = append(g.out, asm.Directive(dir, vals[i:end]...))
 	}
 	return nil
 }
@@ -203,7 +251,7 @@ func argOffset(i int) int { return 8 * i }
 
 func (g *codegen) function(f *FuncDecl) error {
 	g.fn = f
-	g.epiLbl = fmt.Sprintf(".L%s_epilogue", f.Name)
+	g.epiLbl = ".L" + f.Name + "_epilogue"
 
 	// Frame layout.
 	for i, p := range f.ParamSyms {
@@ -218,10 +266,10 @@ func (g *codegen) function(f *FuncDecl) error {
 	frameSize := -off // saves plus locals; 8-aligned by construction
 
 	g.label(f.Name)
-	g.ins("addi sp, sp, -%d", frameSize)
-	g.ins("sw lr, %d(sp)", frameSize-4)
-	g.ins("sw fp, %d(sp)", frameSize-8)
-	g.ins("addi fp, sp, %d", frameSize)
+	g.ins("addi", sp, sp, imm(-frameSize))
+	g.ins("sw", lr, spAt(frameSize-4))
+	g.ins("sw", fp, spAt(frameSize-8))
+	g.ins("addi", fp, sp, imm(frameSize))
 
 	if err := g.stmt(f.Body); err != nil {
 		return err
@@ -231,10 +279,10 @@ func (g *codegen) function(f *FuncDecl) error {
 	// return whatever is in the return register — as in C, using it is
 	// undefined).
 	g.label(g.epiLbl)
-	g.ins("lw lr, -4(fp)")
-	g.ins("lw %s, -8(fp)", addrReg)
-	g.ins("addi sp, fp, 0")
-	g.ins("add fp, %s, r0", addrReg)
+	g.ins("lw", lr, fpAt(-4))
+	g.ins("lw", addrReg, fpAt(-8))
+	g.ins("addi", sp, fp, asm.Imm(0))
+	g.ins("add", fp, addrReg, r0)
 	g.ins("ret")
 	return nil
 }
@@ -275,16 +323,16 @@ func (g *codegen) stmt(s Stmt) error {
 			return err
 		}
 		if x.Else != nil {
-			g.ins("beq %s, r0, %s", accInt, elseLbl)
+			g.ins("beq", accInt, r0, asm.Sym(elseLbl))
 		} else {
-			g.ins("beq %s, r0, %s", accInt, endLbl)
+			g.ins("beq", accInt, r0, asm.Sym(endLbl))
 		}
 		if err := g.stmt(x.Then); err != nil {
 			return err
 		}
 		if x.Else != nil {
 			if !g.terminated {
-				g.ins("jmp %s", endLbl)
+				g.ins("jmp", asm.Sym(endLbl))
 			}
 			g.label(elseLbl)
 			if err := g.stmt(x.Else); err != nil {
@@ -308,18 +356,18 @@ func (g *codegen) stmt(s Stmt) error {
 			if err := g.expr(x.Cond); err != nil {
 				return err
 			}
-			g.ins("bne %s, r0, %s", accInt, bodyLbl)
+			g.ins("bne", accInt, r0, asm.Sym(bodyLbl))
 		} else {
 			g.label(condLbl)
 			if err := g.expr(x.Cond); err != nil {
 				return err
 			}
-			g.ins("beq %s, r0, %s", accInt, endLbl)
+			g.ins("beq", accInt, r0, asm.Sym(endLbl))
 			if err := g.stmt(x.Body); err != nil {
 				return err
 			}
 			if !g.terminated {
-				g.ins("jmp %s", condLbl)
+				g.ins("jmp", asm.Sym(condLbl))
 			}
 		}
 		g.label(endLbl)
@@ -341,7 +389,7 @@ func (g *codegen) stmt(s Stmt) error {
 			if err := g.expr(x.Cond); err != nil {
 				return err
 			}
-			g.ins("beq %s, r0, %s", accInt, endLbl)
+			g.ins("beq", accInt, r0, asm.Sym(endLbl))
 		}
 		if err := g.stmt(x.Body); err != nil {
 			return err
@@ -352,16 +400,16 @@ func (g *codegen) stmt(s Stmt) error {
 				return err
 			}
 		}
-		g.ins("jmp %s", condLbl)
+		g.ins("jmp", asm.Sym(condLbl))
 		g.label(endLbl)
 		g.breakLbl, g.contLbl = savedB, savedC
 		return nil
 	case *BreakStmt:
-		g.ins("jmp %s", g.breakLbl)
+		g.ins("jmp", asm.Sym(g.breakLbl))
 		g.terminated = true
 		return nil
 	case *ContinueStmt:
-		g.ins("jmp %s", g.contLbl)
+		g.ins("jmp", asm.Sym(g.contLbl))
 		g.terminated = true
 		return nil
 	case *ReturnStmt:
@@ -370,12 +418,12 @@ func (g *codegen) stmt(s Stmt) error {
 				return err
 			}
 			if x.X.TypeOf().Kind == TFloat {
-				g.ins("fmov f1, %s", accFloat)
+				g.ins("fmov", f1, accFloat)
 			} else {
-				g.ins("add r1, %s, r0", accInt)
+				g.ins("add", r1, accInt, r0)
 			}
 		}
-		g.ins("jmp %s", g.epiLbl)
+		g.ins("jmp", asm.Sym(g.epiLbl))
 		g.terminated = true
 		return nil
 	}
@@ -384,24 +432,24 @@ func (g *codegen) stmt(s Stmt) error {
 
 // ---- stack helpers ----
 
-func (g *codegen) pushInt(reg string) {
-	g.ins("addi sp, sp, -8")
-	g.ins("sw %s, 0(sp)", reg)
+func (g *codegen) pushInt(reg asm.Operand) {
+	g.ins("addi", sp, sp, asm.Imm(-8))
+	g.ins("sw", reg, spAt(0))
 }
 
-func (g *codegen) popInt(reg string) {
-	g.ins("lw %s, 0(sp)", reg)
-	g.ins("addi sp, sp, 8")
+func (g *codegen) popInt(reg asm.Operand) {
+	g.ins("lw", reg, spAt(0))
+	g.ins("addi", sp, sp, asm.Imm(8))
 }
 
-func (g *codegen) pushFloat(reg string) {
-	g.ins("addi sp, sp, -8")
-	g.ins("fst %s, 0(sp)", reg)
+func (g *codegen) pushFloat(reg asm.Operand) {
+	g.ins("addi", sp, sp, asm.Imm(-8))
+	g.ins("fst", reg, spAt(0))
 }
 
-func (g *codegen) popFloat(reg string) {
-	g.ins("fld %s, 0(sp)", reg)
-	g.ins("addi sp, sp, 8")
+func (g *codegen) popFloat(reg asm.Operand) {
+	g.ins("fld", reg, spAt(0))
+	g.ins("addi", sp, sp, asm.Imm(8))
 }
 
 // ---- variable access ----
@@ -409,36 +457,36 @@ func (g *codegen) popFloat(reg string) {
 // loadVar loads a scalar variable into the accumulator.
 func (g *codegen) loadVar(sym *VarSym) {
 	if sym.Global {
-		g.ins("la %s, %s", addrReg, globalSym(sym.Name))
+		g.ins("la", addrReg, asm.Sym(globalSym(sym.Name)))
 		if sym.Type.Kind == TFloat {
-			g.ins("fld %s, 0(%s)", accFloat, addrReg)
+			g.ins("fld", accFloat, at(addrReg))
 		} else {
-			g.ins("lw %s, 0(%s)", accInt, addrReg)
+			g.ins("lw", accInt, at(addrReg))
 		}
 		return
 	}
 	if sym.Type.Kind == TFloat {
-		g.ins("fld %s, %d(fp)", accFloat, sym.Offset)
+		g.ins("fld", accFloat, fpAt(sym.Offset))
 	} else {
-		g.ins("lw %s, %d(fp)", accInt, sym.Offset)
+		g.ins("lw", accInt, fpAt(sym.Offset))
 	}
 }
 
 // storeVar stores the accumulator into a scalar variable.
 func (g *codegen) storeVar(sym *VarSym) {
 	if sym.Global {
-		g.ins("la %s, %s", addrReg, globalSym(sym.Name))
+		g.ins("la", addrReg, asm.Sym(globalSym(sym.Name)))
 		if sym.Type.Kind == TFloat {
-			g.ins("fst %s, 0(%s)", accFloat, addrReg)
+			g.ins("fst", accFloat, at(addrReg))
 		} else {
-			g.ins("sw %s, 0(%s)", accInt, addrReg)
+			g.ins("sw", accInt, at(addrReg))
 		}
 		return
 	}
 	if sym.Type.Kind == TFloat {
-		g.ins("fst %s, %d(fp)", accFloat, sym.Offset)
+		g.ins("fst", accFloat, fpAt(sym.Offset))
 	} else {
-		g.ins("sw %s, %d(fp)", accInt, sym.Offset)
+		g.ins("sw", accInt, fpAt(sym.Offset))
 	}
 }
 
@@ -447,11 +495,11 @@ func (g *codegen) storeVar(sym *VarSym) {
 func (g *codegen) arrayBase(sym *VarSym) {
 	switch {
 	case sym.Global:
-		g.ins("la %s, %s", accInt, globalSym(sym.Name))
+		g.ins("la", accInt, asm.Sym(globalSym(sym.Name)))
 	case sym.Param:
-		g.ins("lw %s, %d(fp)", accInt, sym.Offset) // array params hold an address
+		g.ins("lw", accInt, fpAt(sym.Offset)) // array params hold an address
 	default:
-		g.ins("addi %s, fp, %d", accInt, sym.Offset)
+		g.ins("addi", accInt, fp, imm(sym.Offset))
 	}
 }
 
@@ -472,12 +520,12 @@ func (g *codegen) indexAddr(x *IndexExpr) error {
 			stride *= d
 		}
 		if stride > 1 {
-			g.ins("li %s, %d", secInt, stride)
-			g.ins("mul %s, %s, %s", accInt, accInt, secInt)
+			g.ins("li", secInt, imm(stride))
+			g.ins("mul", accInt, accInt, secInt)
 		}
 		if i > 0 {
 			g.popInt(secInt)
-			g.ins("add %s, %s, %s", accInt, secInt, accInt)
+			g.ins("add", accInt, secInt, accInt)
 		}
 		if i < len(x.Indexes)-1 {
 			g.pushInt(accInt)
@@ -485,12 +533,12 @@ func (g *codegen) indexAddr(x *IndexExpr) error {
 	}
 	// Scale by element size and add the base.
 	if sym.Type.ScalarSize() == 8 {
-		g.ins("shli %s, %s, 3", accInt, accInt)
+		g.ins("shli", accInt, accInt, asm.Imm(3))
 	} else {
-		g.ins("shli %s, %s, 2", accInt, accInt)
+		g.ins("shli", accInt, accInt, asm.Imm(2))
 	}
 	g.popInt(secInt)
-	g.ins("add %s, %s, %s", accInt, secInt, accInt)
+	g.ins("add", accInt, secInt, accInt)
 	return nil
 }
 
@@ -500,14 +548,14 @@ func (g *codegen) indexAddr(x *IndexExpr) error {
 func (g *codegen) expr(e Expr) error {
 	switch x := e.(type) {
 	case *IntLit:
-		g.ins("li %s, %d", accInt, int32(x.Value))
+		g.ins("li", accInt, asm.Imm(int64(int32(x.Value))))
 		return nil
 	case *FloatLit:
 		g.loadFloatConst(x.Value)
 		return nil
 	case *VarRef:
 		if x.Const {
-			g.ins("li %s, %d", accInt, int32(x.ConstVal))
+			g.ins("li", accInt, asm.Imm(int64(int32(x.ConstVal))))
 			return nil
 		}
 		if x.Sym.Type.IsArray() {
@@ -521,9 +569,9 @@ func (g *codegen) expr(e Expr) error {
 			return err
 		}
 		if x.typ.Kind == TFloat {
-			g.ins("fcvtif %s, %s", accFloat, accInt)
+			g.ins("fcvtif", accFloat, accInt)
 		} else {
-			g.ins("fcvtfi %s, %s", accInt, accFloat)
+			g.ins("fcvtfi", accInt, accFloat)
 		}
 		return nil
 	case *IndexExpr:
@@ -531,9 +579,9 @@ func (g *codegen) expr(e Expr) error {
 			return err
 		}
 		if x.typ.Kind == TFloat {
-			g.ins("fld %s, 0(%s)", accFloat, accInt)
+			g.ins("fld", accFloat, at(accInt))
 		} else {
-			g.ins("lw %s, 0(%s)", accInt, accInt)
+			g.ins("lw", accInt, at(accInt))
 		}
 		return nil
 	case *UnaryExpr:
@@ -543,16 +591,16 @@ func (g *codegen) expr(e Expr) error {
 		switch x.Op {
 		case "-":
 			if x.typ.Kind == TFloat {
-				g.ins("fneg %s, %s", accFloat, accFloat)
+				g.ins("fneg", accFloat, accFloat)
 			} else {
-				g.ins("sub %s, r0, %s", accInt, accInt)
+				g.ins("sub", accInt, r0, accInt)
 			}
 		case "!":
-			g.ins("sltu %s, r0, %s", accInt, accInt)
-			g.ins("xori %s, %s, 1", accInt, accInt)
+			g.ins("sltu", accInt, r0, accInt)
+			g.ins("xori", accInt, accInt, asm.Imm(1))
 		case "~":
-			g.ins("sub %s, r0, %s", accInt, accInt)
-			g.ins("addi %s, %s, -1", accInt, accInt)
+			g.ins("sub", accInt, r0, accInt)
+			g.ins("addi", accInt, accInt, asm.Imm(-1))
 		}
 		return nil
 	case *BinaryExpr:
@@ -563,11 +611,11 @@ func (g *codegen) expr(e Expr) error {
 		if err := g.expr(x.Cond); err != nil {
 			return err
 		}
-		g.ins("beq %s, r0, %s", accInt, elseLbl)
+		g.ins("beq", accInt, r0, asm.Sym(elseLbl))
 		if err := g.expr(x.Then); err != nil {
 			return err
 		}
-		g.ins("jmp %s", endLbl)
+		g.ins("jmp", asm.Sym(endLbl))
 		g.label(elseLbl)
 		if err := g.expr(x.Else); err != nil {
 			return err
@@ -588,12 +636,12 @@ func (g *codegen) loadFloatConst(v float64) {
 	lbl, ok := g.floatPool[v]
 	if !ok {
 		g.poolN++
-		lbl = fmt.Sprintf("fc_%d", g.poolN)
+		lbl = "fc_" + strconv.Itoa(g.poolN)
 		g.floatPool[v] = lbl
-		fmt.Fprintf(&g.data, "%s: .double %s\n", lbl, floatForm(v))
+		g.pool = append(g.pool, labeled(lbl, asm.Directive("double", asm.Literal(floatForm(v)))))
 	}
-	g.ins("la %s, %s", addrReg, lbl)
-	g.ins("fld %s, 0(%s)", accFloat, addrReg)
+	g.ins("la", addrReg, asm.Sym(lbl))
+	g.ins("fld", accFloat, at(addrReg))
 }
 
 func (g *codegen) binary(x *BinaryExpr) error {
@@ -604,14 +652,14 @@ func (g *codegen) binary(x *BinaryExpr) error {
 		if err := g.expr(x.X); err != nil {
 			return err
 		}
-		g.ins("beq %s, r0, %s", accInt, falseLbl)
+		g.ins("beq", accInt, r0, asm.Sym(falseLbl))
 		if err := g.expr(x.Y); err != nil {
 			return err
 		}
-		g.ins("sltu %s, r0, %s", accInt, accInt)
-		g.ins("jmp %s", endLbl)
+		g.ins("sltu", accInt, r0, accInt)
+		g.ins("jmp", asm.Sym(endLbl))
 		g.label(falseLbl)
-		g.ins("li %s, 0", accInt)
+		g.ins("li", accInt, asm.Imm(0))
 		g.label(endLbl)
 		return nil
 	case "||":
@@ -620,14 +668,14 @@ func (g *codegen) binary(x *BinaryExpr) error {
 		if err := g.expr(x.X); err != nil {
 			return err
 		}
-		g.ins("bne %s, r0, %s", accInt, trueLbl)
+		g.ins("bne", accInt, r0, asm.Sym(trueLbl))
 		if err := g.expr(x.Y); err != nil {
 			return err
 		}
-		g.ins("sltu %s, r0, %s", accInt, accInt)
-		g.ins("jmp %s", endLbl)
+		g.ins("sltu", accInt, r0, accInt)
+		g.ins("jmp", asm.Sym(endLbl))
 		g.label(trueLbl)
-		g.ins("li %s, 1", accInt)
+		g.ins("li", accInt, asm.Imm(1))
 		g.label(endLbl)
 		return nil
 	}
@@ -658,42 +706,42 @@ func (g *codegen) binary(x *BinaryExpr) error {
 func (g *codegen) intOp(op string) {
 	switch op {
 	case "+":
-		g.ins("add %s, %s, %s", accInt, secInt, accInt)
+		g.ins("add", accInt, secInt, accInt)
 	case "-":
-		g.ins("sub %s, %s, %s", accInt, secInt, accInt)
+		g.ins("sub", accInt, secInt, accInt)
 	case "*":
-		g.ins("mul %s, %s, %s", accInt, secInt, accInt)
+		g.ins("mul", accInt, secInt, accInt)
 	case "/":
-		g.ins("div %s, %s, %s", accInt, secInt, accInt)
+		g.ins("div", accInt, secInt, accInt)
 	case "%":
-		g.ins("rem %s, %s, %s", accInt, secInt, accInt)
+		g.ins("rem", accInt, secInt, accInt)
 	case "&":
-		g.ins("and %s, %s, %s", accInt, secInt, accInt)
+		g.ins("and", accInt, secInt, accInt)
 	case "|":
-		g.ins("or %s, %s, %s", accInt, secInt, accInt)
+		g.ins("or", accInt, secInt, accInt)
 	case "^":
-		g.ins("xor %s, %s, %s", accInt, secInt, accInt)
+		g.ins("xor", accInt, secInt, accInt)
 	case "<<":
-		g.ins("shl %s, %s, %s", accInt, secInt, accInt)
+		g.ins("shl", accInt, secInt, accInt)
 	case ">>":
-		g.ins("sra %s, %s, %s", accInt, secInt, accInt)
+		g.ins("sra", accInt, secInt, accInt)
 	case "==":
-		g.ins("sub %s, %s, %s", accInt, secInt, accInt)
-		g.ins("sltu %s, r0, %s", accInt, accInt)
-		g.ins("xori %s, %s, 1", accInt, accInt)
+		g.ins("sub", accInt, secInt, accInt)
+		g.ins("sltu", accInt, r0, accInt)
+		g.ins("xori", accInt, accInt, asm.Imm(1))
 	case "!=":
-		g.ins("sub %s, %s, %s", accInt, secInt, accInt)
-		g.ins("sltu %s, r0, %s", accInt, accInt)
+		g.ins("sub", accInt, secInt, accInt)
+		g.ins("sltu", accInt, r0, accInt)
 	case "<":
-		g.ins("slt %s, %s, %s", accInt, secInt, accInt)
+		g.ins("slt", accInt, secInt, accInt)
 	case "<=":
-		g.ins("slt %s, %s, %s", accInt, accInt, secInt)
-		g.ins("xori %s, %s, 1", accInt, accInt)
+		g.ins("slt", accInt, accInt, secInt)
+		g.ins("xori", accInt, accInt, asm.Imm(1))
 	case ">":
-		g.ins("slt %s, %s, %s", accInt, accInt, secInt)
+		g.ins("slt", accInt, accInt, secInt)
 	case ">=":
-		g.ins("slt %s, %s, %s", accInt, secInt, accInt)
-		g.ins("xori %s, %s, 1", accInt, accInt)
+		g.ins("slt", accInt, secInt, accInt)
+		g.ins("xori", accInt, accInt, asm.Imm(1))
 	}
 }
 
@@ -701,26 +749,26 @@ func (g *codegen) intOp(op string) {
 func (g *codegen) floatOp(op string) {
 	switch op {
 	case "+":
-		g.ins("fadd %s, %s, %s", accFloat, secFloat, accFloat)
+		g.ins("fadd", accFloat, secFloat, accFloat)
 	case "-":
-		g.ins("fsub %s, %s, %s", accFloat, secFloat, accFloat)
+		g.ins("fsub", accFloat, secFloat, accFloat)
 	case "*":
-		g.ins("fmul %s, %s, %s", accFloat, secFloat, accFloat)
+		g.ins("fmul", accFloat, secFloat, accFloat)
 	case "/":
-		g.ins("fdiv %s, %s, %s", accFloat, secFloat, accFloat)
+		g.ins("fdiv", accFloat, secFloat, accFloat)
 	case "==":
-		g.ins("feq %s, %s, %s", accInt, secFloat, accFloat)
+		g.ins("feq", accInt, secFloat, accFloat)
 	case "!=":
-		g.ins("feq %s, %s, %s", accInt, secFloat, accFloat)
-		g.ins("xori %s, %s, 1", accInt, accInt)
+		g.ins("feq", accInt, secFloat, accFloat)
+		g.ins("xori", accInt, accInt, asm.Imm(1))
 	case "<":
-		g.ins("flt %s, %s, %s", accInt, secFloat, accFloat)
+		g.ins("flt", accInt, secFloat, accFloat)
 	case "<=":
-		g.ins("fle %s, %s, %s", accInt, secFloat, accFloat)
+		g.ins("fle", accInt, secFloat, accFloat)
 	case ">":
-		g.ins("flt %s, %s, %s", accInt, accFloat, secFloat)
+		g.ins("flt", accInt, accFloat, secFloat)
 	case ">=":
-		g.ins("fle %s, %s, %s", accInt, accFloat, secFloat)
+		g.ins("fle", accInt, accFloat, secFloat)
 	}
 }
 
@@ -764,12 +812,12 @@ func (g *codegen) assign(x *AssignExpr) error {
 	g.pushInt(accInt) // save element address
 	if x.Op != "" {
 		// Load current value through the saved address.
-		g.ins("lw %s, 0(sp)", addrReg)
+		g.ins("lw", addrReg, spAt(0))
 		if float {
-			g.ins("fld %s, 0(%s)", accFloat, addrReg)
+			g.ins("fld", accFloat, at(addrReg))
 			g.pushFloat(accFloat)
 		} else {
-			g.ins("lw %s, 0(%s)", accInt, addrReg)
+			g.ins("lw", accInt, at(addrReg))
 			g.pushInt(accInt)
 		}
 	}
@@ -787,9 +835,9 @@ func (g *codegen) assign(x *AssignExpr) error {
 	}
 	g.popInt(addrReg)
 	if float {
-		g.ins("fst %s, 0(%s)", accFloat, addrReg)
+		g.ins("fst", accFloat, at(addrReg))
 	} else {
-		g.ins("sw %s, 0(%s)", accInt, addrReg)
+		g.ins("sw", accInt, at(addrReg))
 	}
 	return nil
 }
@@ -799,33 +847,33 @@ func (g *codegen) incDec(x *IncDecExpr) error {
 
 	applyDelta := func() {
 		if float {
-			g.ins("li %s, 1", scratch)
-			g.ins("fcvtif %s, %s", secFloat, scratch)
+			g.ins("li", scratch, asm.Imm(1))
+			g.ins("fcvtif", secFloat, scratch)
 			if x.Op == "++" {
-				g.ins("fadd %s, %s, %s", accFloat, accFloat, secFloat)
+				g.ins("fadd", accFloat, accFloat, secFloat)
 			} else {
-				g.ins("fsub %s, %s, %s", accFloat, accFloat, secFloat)
+				g.ins("fsub", accFloat, accFloat, secFloat)
 			}
 		} else {
 			if x.Op == "++" {
-				g.ins("addi %s, %s, 1", accInt, accInt)
+				g.ins("addi", accInt, accInt, asm.Imm(1))
 			} else {
-				g.ins("addi %s, %s, -1", accInt, accInt)
+				g.ins("addi", accInt, accInt, asm.Imm(-1))
 			}
 		}
 	}
 	undoDelta := func() {
 		if float {
 			if x.Op == "++" {
-				g.ins("fsub %s, %s, %s", accFloat, accFloat, secFloat)
+				g.ins("fsub", accFloat, accFloat, secFloat)
 			} else {
-				g.ins("fadd %s, %s, %s", accFloat, accFloat, secFloat)
+				g.ins("fadd", accFloat, accFloat, secFloat)
 			}
 		} else {
 			if x.Op == "++" {
-				g.ins("addi %s, %s, -1", accInt, accInt)
+				g.ins("addi", accInt, accInt, asm.Imm(-1))
 			} else {
-				g.ins("addi %s, %s, 1", accInt, accInt)
+				g.ins("addi", accInt, accInt, asm.Imm(1))
 			}
 		}
 	}
@@ -844,15 +892,15 @@ func (g *codegen) incDec(x *IncDecExpr) error {
 	if err := g.indexAddr(ie); err != nil {
 		return err
 	}
-	g.ins("add %s, %s, r0", addrReg, accInt)
+	g.ins("add", addrReg, accInt, r0)
 	if float {
-		g.ins("fld %s, 0(%s)", accFloat, addrReg)
+		g.ins("fld", accFloat, at(addrReg))
 		applyDelta()
-		g.ins("fst %s, 0(%s)", accFloat, addrReg)
+		g.ins("fst", accFloat, at(addrReg))
 	} else {
-		g.ins("lw %s, 0(%s)", accInt, addrReg)
+		g.ins("lw", accInt, at(addrReg))
 		applyDelta()
-		g.ins("sw %s, 0(%s)", accInt, addrReg)
+		g.ins("sw", accInt, at(addrReg))
 	}
 	if x.Post {
 		undoDelta()
@@ -867,23 +915,23 @@ func (g *codegen) call(x *CallExpr) error {
 		}
 		switch x.Intrinsic {
 		case IntrSqrt:
-			g.ins("fsqrt %s, %s", accFloat, accFloat)
+			g.ins("fsqrt", accFloat, accFloat)
 		case IntrSin:
-			g.ins("fsin %s, %s", accFloat, accFloat)
+			g.ins("fsin", accFloat, accFloat)
 		case IntrCos:
-			g.ins("fcos %s, %s", accFloat, accFloat)
+			g.ins("fcos", accFloat, accFloat)
 		case IntrAtan:
-			g.ins("fatan %s, %s", accFloat, accFloat)
+			g.ins("fatan", accFloat, accFloat)
 		case IntrExp:
-			g.ins("fexp %s, %s", accFloat, accFloat)
+			g.ins("fexp", accFloat, accFloat)
 		case IntrLog:
-			g.ins("flog %s, %s", accFloat, accFloat)
+			g.ins("flog", accFloat, accFloat)
 		case IntrFabs:
-			g.ins("fabs %s, %s", accFloat, accFloat)
+			g.ins("fabs", accFloat, accFloat)
 		case IntrAbs:
-			g.ins("srai %s, %s, 31", secInt, accInt)
-			g.ins("xor %s, %s, %s", accInt, accInt, secInt)
-			g.ins("sub %s, %s, %s", accInt, accInt, secInt)
+			g.ins("srai", secInt, accInt, asm.Imm(31))
+			g.ins("xor", accInt, accInt, secInt)
+			g.ins("sub", accInt, accInt, secInt)
 		}
 		return nil
 	}
@@ -911,15 +959,15 @@ func (g *codegen) call(x *CallExpr) error {
 			g.pushInt(accInt)
 		}
 	}
-	g.ins("call %s", x.Func.Name)
+	g.ins("call", asm.Sym(x.Func.Name))
 	if n := len(x.Args); n > 0 {
-		g.ins("addi sp, sp, %d", 8*n)
+		g.ins("addi", sp, sp, imm(8*n))
 	}
 	switch x.Func.Ret.Kind {
 	case TFloat:
-		g.ins("fmov %s, f1", accFloat)
+		g.ins("fmov", accFloat, f1)
 	case TInt:
-		g.ins("add %s, r1, r0", accInt)
+		g.ins("add", accInt, r1, r0)
 	}
 	return nil
 }

@@ -2,9 +2,11 @@ package cc
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"cinderella/internal/asm"
 	"cinderella/internal/progfuzz"
 	"cinderella/internal/sim"
 )
@@ -83,4 +85,97 @@ func mustLoopID(src string) int {
 		}
 	}
 	return max
+}
+
+// The front-end differential: Build hands code generation's statements
+// straight to the assembler backend, and BuildOptimized runs the peephole
+// on them a run at a time. Both must produce exactly the image the text
+// path produces, which renders the statements (Generate, then Optimize on
+// the whole text) and assembles them back (asm.Assemble).
+
+// buildViaText is the text path: print the assembly, optimize the text
+// when asked, and assemble it.
+func buildViaText(src string, optimized bool) (*asm.Executable, error) {
+	text, err := Compile(src)
+	if err != nil {
+		return nil, err
+	}
+	if optimized {
+		text = Optimize(text)
+	}
+	return asm.Assemble(text)
+}
+
+// checkBuildMatchesText requires the direct build of src to equal the text
+// path's image, or both to fail (with the same error, unoptimized).
+func checkBuildMatchesText(t *testing.T, src string, optimized bool) {
+	t.Helper()
+	build := Build
+	if optimized {
+		build = BuildOptimized
+	}
+	got, _, err := build(src)
+	want, wantErr := buildViaText(src, optimized)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("optimized=%v: direct build error %v, text path error %v\n%s", optimized, err, wantErr, src)
+	case err != nil && !optimized && err.Error() != wantErr.Error():
+		t.Fatalf("direct build error %q, text path error %q\n%s", err, wantErr, src)
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("optimized=%v: direct build image differs from the text path's\n%s", optimized, src)
+	}
+}
+
+// frontEndEdgeSources exercise what the random programs do not: float data
+// in both of codegen's spellings (scalars print with %v, so 3.0 as "3" and
+// -0.0 as "-0"; arrays and constants with floatForm), values the assembler
+// rejects (an infinite array element, a NaN scalar), and globals whose
+// symbols contain "sp" or a register name, which the peephole's text
+// checks see.
+var frontEndEdgeSources = []string{
+	`float a = -0.0;
+float b = 3.0;
+float c = 1e21;
+float e[5] = {1.0, -0.0, 1e-7, 2.5};
+int wasp;
+int r3;
+int main() { return 0; }
+int f(int x, int y) {
+    float z;
+    z = 0.1;
+    z = z * 1e21 + b;
+    wasp = x + r3 * 2 + wasp;
+    r3 = y - (wasp + 1);
+    e[x & 3] = z + e[y & 3];
+    return wasp + r3;
+}`,
+	"float inf = 1e300 * 1e300;\nint main() { return 0; }",
+	"float arr[2] = {1e300 * 1e300, 1.0};\nint main() { return 0; }",
+	"float nan = 1e300 * 1e300 - 1e300 * 1e300;\nint main() { return 0; }",
+}
+
+// TestBuildMatchesTextPath replays the random programs the differential
+// fuzzers use (seeds 0-119 plain, 500-579 optimized) and the edge sources,
+// both ways.
+func TestBuildMatchesTextPath(t *testing.T) {
+	for seed := int64(0); seed < 120; seed++ {
+		checkBuildMatchesText(t, progfuzz.Generate(seed), false)
+	}
+	for seed := int64(500); seed < 580; seed++ {
+		checkBuildMatchesText(t, progfuzz.Generate(seed), true)
+	}
+	for _, src := range frontEndEdgeSources {
+		checkBuildMatchesText(t, src, false)
+		checkBuildMatchesText(t, src, true)
+	}
+}
+
+// FuzzBuildMatchesText runs the front-end differential on the random
+// program of any seed, plain or optimized.
+func FuzzBuildMatchesText(f *testing.F) {
+	f.Add(int64(0), false)
+	f.Add(int64(500), true)
+	f.Fuzz(func(t *testing.T, seed int64, optimized bool) {
+		checkBuildMatchesText(t, progfuzz.Generate(seed), optimized)
+	})
 }

@@ -1,6 +1,11 @@
 package cc
 
-import "strings"
+import (
+	"strconv"
+	"strings"
+
+	"cinderella/internal/asm"
+)
 
 // Peephole optimization of the generated assembly. The accumulator scheme
 // spills every partial result to the machine stack; when the second operand
@@ -21,6 +26,15 @@ import "strings"
 // the bounds tighten and the enclosure invariant still holds (see
 // optimize_test.go and TestOptimizedCodeAnalysis).
 //
+// The pass runs on assembler statements, and each test it makes is a test
+// of the statement's rendered line (asm.Render), so it makes the decisions
+// a matcher over the printed text would: a middle statement is rejected
+// when its line contains "sp" anywhere, even inside a symbol name, and
+// mentionsReg scans symbol text as it would scan the line. Every statement
+// of a match is unlabeled, so no match crosses a label, and optimizing the
+// runs Build receives from code generation (each starting at a label) one
+// at a time makes the decisions optimizing the whole program would.
+//
 // Optimization is off by default so that the Table I benchmarks keep the
 // block numbering their annotations were written against; BuildOptimized
 // compiles with the pass enabled.
@@ -28,122 +42,152 @@ import "strings"
 // maxPeepholeMiddle bounds the operand-evaluation run the pattern accepts.
 const maxPeepholeMiddle = 6
 
-// pushIntLines and the pop suffix are the exact shapes codegen emits.
-var (
-	pushHead = "        addi sp, sp, -8"
-	popTail  = "        addi sp, sp, 8"
-)
-
-// optimizeAsm applies the spill-collapse peephole until a fixed point.
-func optimizeAsm(text string) string {
-	lines := strings.Split(text, "\n")
+// optimize applies the spill-collapse peephole until a fixed point. It
+// rewrites stmts in place and returns the shortened slice.
+func optimize(stmts []asm.Stmt) []asm.Stmt {
 	for {
-		out, changed := peepholePass(lines)
-		lines = out
+		out, changed := peepholePass(stmts)
+		stmts = out
 		if !changed {
-			return strings.Join(lines, "\n")
+			return stmts
 		}
 	}
 }
 
-func peepholePass(lines []string) ([]string, bool) {
-	var out []string
+// peepholePass makes one left-to-right pass. A match replaces k+2
+// statements with k-1, so the output never overtakes the input and the
+// pass compacts in place.
+func peepholePass(stmts []asm.Stmt) ([]asm.Stmt, bool) {
+	w := 0
 	changed := false
-	for i := 0; i < len(lines); i++ {
-		if lines[i] == pushHead && i+1 < len(lines) {
-			if repl, skip, ok := matchSpill(lines[i:]); ok {
-				out = append(out, repl...)
-				i += skip - 1
+	for i := 0; i < len(stmts); i++ {
+		if isSPAdjust(&stmts[i], -8) && i+1 < len(stmts) {
+			if save, k, ok := matchSpill(stmts[i:]); ok {
+				stmts[w] = save
+				w += 1 + copy(stmts[w+1:], stmts[i+2:i+k])
+				i += k + 1
 				changed = true
 				continue
 			}
 		}
-		out = append(out, lines[i])
+		stmts[w] = stmts[i]
+		w++
 	}
-	return out, changed
+	return stmts[:w], changed
 }
 
 // matchSpill matches the push/middle/pop pattern starting at window[0]
-// (which is the addi sp, sp, -8 line) and returns the replacement lines and
-// the number of consumed input lines.
-func matchSpill(window []string) (repl []string, consumed int, ok bool) {
-	if len(window) < 5 {
-		return nil, 0, false
-	}
-	var save, popReg, popOp string
-	float := false
-	switch window[1] {
-	case "        sw r2, 0(sp)":
+// (the addi sp, sp, -8 statement). On a match the pop is window[k]; the
+// replacement is save followed by the middle window[2:k], and the pattern
+// consumes k+2 statements.
+func matchSpill(window []asm.Stmt) (save asm.Stmt, k int, ok bool) {
+	var popOp string
+	switch {
+	case isStackAccess(&window[1], "sw") && window[1].Arg[0] == accInt:
 		popOp = "lw"
-	case "        fst f2, 0(sp)":
+	case isStackAccess(&window[1], "fst") && window[1].Arg[0] == accFloat:
 		popOp = "fld"
-		float = true
 	default:
-		return nil, 0, false
+		return save, 0, false
 	}
 
 	// Scan the middle for the matching pop.
-	for k := 2; k < len(window) && k-2 <= maxPeepholeMiddle; k++ {
-		line := window[k]
-		if isPop(line, popOp) {
-			if k+1 >= len(window) || window[k+1] != popTail {
-				return nil, 0, false
+	for k = 2; k < len(window) && k-2 <= maxPeepholeMiddle; k++ {
+		s := &window[k]
+		if isStackAccess(s, popOp) {
+			if k+1 >= len(window) || !isSPAdjust(&window[k+1], 8) {
+				return save, 0, false
 			}
-			popReg = strings.TrimSuffix(strings.Fields(line)[1], ",")
+			pop := s.Arg[0]
 			// The middle must not mention the pop target.
-			for _, m := range window[2:k] {
-				if !safeMiddleLine(m, popReg) {
-					return nil, 0, false
+			for m := 2; m < k; m++ {
+				if !safeMiddle(&window[m], pop) {
+					return save, 0, false
 				}
 			}
-			if float {
-				save = "        fmov " + popReg + ", f2"
-			} else {
-				save = "        add " + popReg + ", r2, r0"
+			if popOp == "fld" {
+				return asm.Instr("fmov", pop, accFloat), k, true
 			}
-			repl = append(repl, save)
-			repl = append(repl, window[2:k]...)
-			return repl, k + 2, true
+			return asm.Instr("add", pop, accInt, r0), k, true
 		}
-		if !plausibleMiddle(line) {
-			return nil, 0, false
+		if !plausibleMiddle(s) {
+			return save, 0, false
 		}
 	}
-	return nil, 0, false
+	return save, 0, false
 }
 
-// isPop recognizes "lw rX, 0(sp)" / "fld fX, 0(sp)" pop heads.
-func isPop(line, op string) bool {
-	if !strings.HasPrefix(line, "        "+op+" ") || !strings.HasSuffix(line, ", 0(sp)") {
+// isSPAdjust recognizes the unlabeled "addi sp, sp, <delta>".
+func isSPAdjust(s *asm.Stmt, delta int64) bool {
+	return s.Label == "" && s.Op == "addi" && s.NArg == 3 && s.List == nil &&
+		s.Arg[0] == sp && s.Arg[1] == sp && isImm(s.Arg[2], delta)
+}
+
+// isImm reports whether o prints as the integer v.
+func isImm(o asm.Operand, v int64) bool {
+	if o.Kind != asm.OpInt || o.Num != v {
 		return false
 	}
-	fields := strings.Fields(line)
-	return len(fields) == 3
+	var buf [24]byte
+	return o.Text == "" || o.Text == string(strconv.AppendInt(buf[:0], v, 10))
+}
+
+// isStackAccess recognizes the unlabeled "<op> <reg>, 0(sp)": the pushes
+// and pops codegen emits.
+func isStackAccess(s *asm.Stmt, op string) bool {
+	return s.Label == "" && s.Op == op && s.NArg == 2 && s.List == nil &&
+		(s.Arg[0].Kind == asm.OpReg || s.Arg[0].Kind == asm.OpFreg) && s.Arg[1] == spAt(0)
 }
 
 // plausibleMiddle accepts only the simple operand-evaluation shapes the
 // code generator emits; anything with control flow, labels or stack
 // traffic aborts the match.
-func plausibleMiddle(line string) bool {
-	trimmed := strings.TrimSpace(line)
-	if trimmed == "" || strings.HasSuffix(trimmed, ":") {
+func plausibleMiddle(s *asm.Stmt) bool {
+	if s.Label != "" || s.Dir != "" {
 		return false
 	}
-	mnemonic := strings.SplitN(trimmed, " ", 2)[0]
-	switch mnemonic {
+	switch s.Op {
 	case "li", "la", "lui", "ori", "lw", "fld", "add", "addi", "sub",
 		"mul", "shli", "slt", "slti", "fcvtif", "fmov":
 	default:
 		return false
 	}
-	return !strings.Contains(line, "sp")
+	for _, o := range s.Args() {
+		if strings.Contains(operandWord(o), "sp") {
+			return false
+		}
+	}
+	return true
 }
 
-// safeMiddleLine additionally excludes any mention of the pop target
-// register (reading it would see the hoisted value; writing it would be
-// clobbered in the original).
-func safeMiddleLine(line, popReg string) bool {
-	return plausibleMiddle(line) && !mentionsReg(line, popReg)
+// safeMiddle additionally excludes any mention of the pop target register
+// (reading it would see the hoisted value; writing it would be clobbered
+// in the original).
+func safeMiddle(s *asm.Stmt, pop asm.Operand) bool {
+	if !plausibleMiddle(s) {
+		return false
+	}
+	reg := operandWord(pop)
+	for _, o := range s.Args() {
+		if mentionsReg(operandWord(o), reg) {
+			return false
+		}
+	}
+	return true
+}
+
+// operandWord is the part of an operand's rendering that can hold a
+// register name or "sp": the register itself, a memory operand's base, or
+// a symbol's or literal's spelling. The digits a literal or offset prints
+// without a spelling can hold neither.
+func operandWord(o asm.Operand) string {
+	switch o.Kind {
+	case asm.OpReg, asm.OpMem:
+		return asm.RegName(o.Reg, false)
+	case asm.OpFreg:
+		return asm.RegName(o.Reg, true)
+	}
+	return o.Text
 }
 
 // mentionsReg reports whether the instruction text references the register,
@@ -168,5 +212,13 @@ func mentionsReg(line, reg string) bool {
 }
 
 // Optimize applies the peephole pass to generated assembly text; exported
-// for the compiler driver (ccg -O).
-func Optimize(asmText string) string { return optimizeAsm(asmText) }
+// for the compiler driver (ccg -O). The text is parsed, optimized as
+// statements and rendered back; text the assembler cannot parse is
+// returned unchanged, since assembling it fails either way.
+func Optimize(asmText string) string {
+	stmts, err := asm.Parse(asmText)
+	if err != nil {
+		return asmText
+	}
+	return asm.Render(optimize(stmts))
+}

@@ -1,6 +1,8 @@
 package cc
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"cinderella/internal/progfuzz"
@@ -152,6 +154,28 @@ func TestMentionsReg(t *testing.T) {
 	for _, c := range cases {
 		if got := mentionsReg(c.line, c.reg); got != c.want {
 			t.Errorf("mentionsReg(%q, %q) = %v", c.line, c.reg, got)
+		}
+	}
+}
+
+// TestEdgeSourceTextGolden pins the assembly text of the first front-end
+// edge source, plain and peephole-optimized, to SHA-256 digests recorded
+// when the compiler printed text and the peephole matched lines. Its
+// middles load g_wasp, a symbol containing "sp" that blocks a match, so a
+// peephole that tested operands instead of their printed text would
+// change the optimized digest.
+func TestEdgeSourceTextGolden(t *testing.T) {
+	text, err := Compile(frontEndEdgeSources[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, text, want string }{
+		{"Generate", text, "9e3527c395e6f192cb33ef047005745302b4c3048fc849659f1ad5cd698442d8"},
+		{"Optimize", Optimize(text), "9071803c123cfa2e3f63776d8b944fdf9cfb56d1e72ccd195df143a08fe27df4"},
+	} {
+		sum := sha256.Sum256([]byte(c.text))
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s digest %s, want %s", c.name, got, c.want)
 		}
 	}
 }

@@ -86,7 +86,7 @@ var selfCheck atomic.Bool
 
 // SetSelfCheck toggles differential verification: with it on, every
 // simplex solve is re-run through the retained dense-tableau oracle and
-// the two must agree on status and objective (within 1e-6), panicking
+// the two must agree on status and objective (within ObjTol), panicking
 // otherwise. Intended for tests; the dense re-solve roughly doubles the
 // cost of every LP.
 func SetSelfCheck(on bool) { selfCheck.Store(on) }
@@ -135,7 +135,7 @@ func simplexFull(p *Problem, wantCert bool) lpResult {
 	r := routeSimplex(p, wantCert)
 	if selfCheck.Load() {
 		dStatus, dObj, _, _ := denseSimplex(unpackProblem(p))
-		if dStatus != r.status || (r.status == Optimal && math.Abs(dObj-r.obj) > agreeTol) {
+		if dStatus != r.status || (r.status == Optimal && math.Abs(dObj-r.obj) > ObjTol(dObj)) {
 			panic(fmt.Sprintf("ilp: kernel/dense divergence: kernel %v %.9g, dense %v %.9g on\n%s",
 				r.status, r.obj, dStatus, dObj, unpackProblem(p)))
 		}

@@ -1,5 +1,7 @@
 package ilp
 
+import "math"
+
 // Numeric tolerances of the float64 solver paths, collected in one place.
 // The dense oracle, the sparse production kernel, the warm-started dual
 // simplex and the branch-and-bound layer all share these; a tolerance that
@@ -37,6 +39,13 @@ const (
 	// more than this on the problems of this domain.
 	agreeTol = 1e-6
 
+	// objRelTol scales the objective tolerance with the objective's
+	// magnitude (ObjTol). A float64 objective accumulates rounding in
+	// proportion to its size: whetstone's 27,972,760-cycle optimum comes
+	// back 6.6e-6 to 8.4e-6 short, depending on the kernel, which is past
+	// the absolute agreeTol. At 1e-9 the band there is 0.03 cycles.
+	objRelTol = 1e-9
+
 	// presolveTol is the tolerance for treating a substituted coefficient
 	// or right-hand side as zero during the structural presolve. Base rows
 	// in this domain carry small integers, so anything below it is float
@@ -52,6 +61,16 @@ const (
 	suspectPivotLo = 1e-7
 	suspectPivotHi = 1e7
 )
+
+// ObjTol is the tolerance for a float64 objective value near obj:
+// agreeTol, or objRelTol of obj's magnitude when that is larger. Two
+// solvers' optima that differ by less agree (the SetSelfCheck
+// differentials), and an LP optimum rounds to a sound integer bound with
+// this margin: floor(obj+ObjTol(obj)) for a maximum, ceil(obj-ObjTol(obj))
+// for a minimum.
+func ObjTol(obj float64) float64 {
+	return math.Max(agreeTol, objRelTol*math.Abs(obj))
+}
 
 // MaxExactCoeff is the largest integer magnitude float64 represents exactly
 // (2^53). Objective coefficients are built by summing int64 per-block costs

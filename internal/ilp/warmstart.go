@@ -611,7 +611,7 @@ func (w *WarmStart) checkAgainstCold(set []Constraint, status Status, obj, cutof
 	cStatus, cObj, _, _ := simplex(cold)
 	switch status {
 	case Optimal:
-		if cStatus != Optimal || math.Abs(cObj-obj) > agreeTol {
+		if cStatus != Optimal || math.Abs(cObj-obj) > ObjTol(cObj) {
 			panic(fmt.Sprintf("ilp: warm/cold divergence: warm optimal %.9g, cold %v %.9g on\n%s",
 				obj, cStatus, cObj, unpackProblem(cold)))
 		}
@@ -623,7 +623,7 @@ func (w *WarmStart) checkAgainstCold(set []Constraint, status Status, obj, cutof
 	case Dominated:
 		// Domination claims the optimum is strictly worse than the cutoff;
 		// an infeasible set is vacuously dominated.
-		if cStatus == Optimal && !(w.sign*cObj < w.sign*cutoff+agreeTol) {
+		if cStatus == Optimal && !(w.sign*cObj < w.sign*cutoff+ObjTol(cutoff)) {
 			panic(fmt.Sprintf("ilp: warm/cold divergence: warm dominated under cutoff %.9g (%v), cold optimal %.9g on\n%s",
 				cutoff, w.prob.Sense, cObj, unpackProblem(cold)))
 		}

@@ -866,12 +866,13 @@ func (a *Analyzer) reduceDir(est *Estimate, d *direction, plan *solverPlan, resu
 			return nil, nil, fmt.Errorf("ipet: budget expired with %d sets unsolved and no relaxation envelope available", unsolved)
 		}
 		// The tightest sound integer envelope: the per-set integer optima
-		// lie at or inside the base LP optimum.
+		// lie at or inside the base LP optimum. The rounding margin grows
+		// with the optimum's magnitude, as its float64 error does.
 		var cycles int64
-		if sense == ilp.Maximize {
-			cycles = int64(math.Floor(d.relax + 1e-6))
+		if tol := ilp.ObjTol(d.relax); sense == ilp.Maximize {
+			cycles = int64(math.Floor(d.relax + tol))
 		} else {
-			cycles = int64(math.Ceil(d.relax - 1e-6))
+			cycles = int64(math.Ceil(d.relax - tol))
 		}
 		if best != nil &&
 			((sense == ilp.Maximize && best.Cycles > cycles) ||
