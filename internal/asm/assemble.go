@@ -21,15 +21,17 @@ const (
 	symLo            // lower 16 bits of the symbol address (ori of la)
 )
 
-// template is one machine instruction awaiting symbol resolution.
+// template is one machine instruction awaiting symbol resolution. use
+// sits with the other byte fields so a template takes 48 bytes, not 56:
+// a program's templates are one of the largest allocations of a compile.
 type template struct {
 	line         int
 	op           isa.Opcode
 	rd, rs1, rs2 uint8
+	use          symUse
 	imm          int64
 	sym          string
 	symOff       int64
-	use          symUse
 }
 
 // dataItem is one assembled data-segment entity at a data-relative offset.

@@ -105,7 +105,8 @@ func parametricWorkloads(t *testing.T) ([]parametricBench, ipet.Options) {
 //   - every swept point's formula answer bit-matches a session-warm
 //     concrete solve of the same bound scenario, with zero fallbacks;
 //   - ParamBound.Eval is at least 10x faster per query than a session-warm
-//     Estimate, and allocates nothing;
+//     Estimate (logged, not enforced, in race builds), and allocates
+//     nothing;
 //   - the one-shot baseline is measured on a 16-point stride subset.
 func parametricRows(t *testing.T) []EstimatePerf {
 	t.Helper()
@@ -206,7 +207,14 @@ func parametricRows(t *testing.T) []EstimatePerf {
 		})
 
 		if float64(paramRes.NsPerOp())*10 > float64(sessRes.NsPerOp()) {
-			t.Errorf("%s: parametric eval %d ns/op vs session-warm %d ns/op — want at least 10x",
+			// The race runtime's timing is not the code's: under the
+			// detector the ratio is logged, and the non-race
+			// TestParametricSweepGate run enforces it.
+			report := t.Errorf
+			if raceEnabled {
+				report = t.Logf
+			}
+			report("%s: parametric eval %d ns/op vs session-warm %d ns/op — want at least 10x",
 				w.name, paramRes.NsPerOp(), sessRes.NsPerOp())
 		}
 		if allocs := testing.AllocsPerRun(100, func() { pb.Eval(points[0]) }); allocs != 0 {

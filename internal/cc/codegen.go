@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"cinderella/internal/asm"
 	"cinderella/internal/isa"
@@ -83,9 +84,16 @@ func Generate(prog *Program) (string, error) {
 	return asm.Render(all), nil
 }
 
-// generate emits the assembly statements of a checked program to sink.
+// generate emits the assembly statements of a checked program to sink, a
+// run at a time. The run buffer is reused, so sink copies what it keeps.
 func generate(prog *Program, sink func([]asm.Stmt)) error {
-	g := &codegen{sink: sink, floatPool: map[float64]string{}}
+	buf := runBufs.Get().(*[]asm.Stmt)
+	g := &codegen{sink: sink, floatPool: map[float64]string{}, out: (*buf)[:0]}
+	defer func() {
+		clear(g.out[:cap(g.out)]) // drop this program's strings
+		*buf = g.out[:0]
+		runBufs.Put(buf)
+	}()
 	g.out = append(g.out, asm.Directive("text"))
 	g.label("_start")
 	g.ins("call", asm.Sym("main"))
@@ -124,6 +132,10 @@ func Compile(src string) (string, error) {
 	}
 	return Generate(prog)
 }
+
+// runBufs recycles generate's run buffer between compiles; growing it
+// anew for every program was about a quarter of a compile's bytes.
+var runBufs = sync.Pool{New: func() any { return new([]asm.Stmt) }}
 
 // ins emits an instruction of at most three operands.
 func (g *codegen) ins(op string, args ...asm.Operand) {

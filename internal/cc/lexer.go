@@ -211,10 +211,9 @@ func isHexDigit(c byte) bool {
 	return isDigit(c) || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 }
 
-// lexAll scans the whole source.
-func lexAll(src string) ([]token, error) {
+// lexAll scans the whole source, appending its tokens to toks.
+func lexAll(toks []token, src string) ([]token, error) {
 	l := newLexer(src)
-	var toks []token
 	for {
 		t, err := l.next()
 		if err != nil {

@@ -1,6 +1,9 @@
 package cc
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // parser is a recursive-descent parser for MC.
 type parser struct {
@@ -14,13 +17,24 @@ type parser struct {
 // Parse parses MC source into an AST. The result must be checked with Check
 // before code generation.
 func Parse(src string) (*Program, error) {
-	toks, err := lexAll(src)
+	buf := tokBufs.Get().(*[]token)
+	toks, err := lexAll((*buf)[:0], src)
+	defer func() {
+		clear(toks) // the pooled slice must not keep this source alive
+		*buf = toks[:0]
+		tokBufs.Put(buf)
+	}()
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks, consts: map[string]int64{}}
 	return p.program()
 }
+
+// tokBufs recycles token slices between parses. The parser copies every
+// token it keeps, so the slice is dead once the AST is built; growing it
+// anew for every source was about a quarter of a compile's bytes.
+var tokBufs = sync.Pool{New: func() any { return new([]token) }}
 
 func (p *parser) cur() token { return p.toks[p.pos] }
 func (p *parser) peek() token { // token after current

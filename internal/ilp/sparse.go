@@ -54,6 +54,16 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // ensure sizes the arena to m zeroed tableau rows of the given width with
 // the side arrays sized to match.
 func (s *scratch) ensure(m, width int) {
+	s.resize(m, width)
+	for _, r := range s.tab {
+		clear(r)
+	}
+}
+
+// resize is ensure without the zeroing: reused rows keep whatever an
+// earlier solve left in them, so the caller must write every tableau entry
+// it will read.
+func (s *scratch) resize(m, width int) {
 	if cap(s.tab) < m {
 		s.tab = append(s.tab[:cap(s.tab)], make([][]float64, m-cap(s.tab))...)
 	}
@@ -63,7 +73,6 @@ func (s *scratch) ensure(m, width int) {
 			s.tab[i] = make([]float64, width)
 		} else {
 			s.tab[i] = s.tab[i][:width]
-			clear(s.tab[i])
 		}
 	}
 	if cap(s.basis) < m {

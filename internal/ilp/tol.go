@@ -72,6 +72,19 @@ func ObjTol(obj float64) float64 {
 	return math.Max(agreeTol, objRelTol*math.Abs(obj))
 }
 
+// tieTol is the reduced-cost tolerance of the warm solver's uniqueness test
+// (SetSolution.Unique) at an optimum of value obj: a nonbasic
+// column whose reduced cost lies within tieTol of zero could enter the
+// basis without changing the objective, so it is treated as tied and the
+// optimum is only called unique once the optimal face proves it cannot
+// move. Reduced costs are differences of objective coefficients and carry
+// the objective's rounding, so the band is scaled like ObjTol. The error it
+// allows runs one way: a band too wide sends more optima through the face
+// LP and more winners back to a cold re-solve, while a band too narrow
+// could call a tied column strictly worse and claim a uniqueness that does
+// not hold.
+func tieTol(obj float64) float64 { return ObjTol(obj) }
+
 // MaxExactCoeff is the largest integer magnitude float64 represents exactly
 // (2^53). Objective coefficients are built by summing int64 per-block costs
 // and then solved in float64 arithmetic; a sum beyond this bound would be

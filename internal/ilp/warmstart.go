@@ -164,9 +164,10 @@ type SetSolveOptions struct {
 	// NoX skips materializing the optimum assignment: SetSolution.X stays
 	// nil and SetSolution.XIntegral still reports whether the assignment
 	// would have been integral. Callers that only need the objective (the
-	// per-set fan-out of package ipet re-derives the winner's counts with a
-	// canonical cold re-solve anyway) save the per-solve vector allocation
-	// and, under a presolve, the reconstruction.
+	// per-set fan-out of package ipet, which derives only the winner's
+	// counts, in a separate finishing solve) save the per-solve vector
+	// allocation, under a presolve the reconstruction, and the uniqueness
+	// test (SetSolution.Unique) that comes with an assignment.
 	NoX bool
 }
 
@@ -181,7 +182,14 @@ type SetSolution struct {
 	// the branch-and-bound tolerance (meaningful when Optimal; valid under
 	// NoX even though X itself is not materialized).
 	XIntegral bool
-	Pivots    int
+	// Unique reports, for an Optimal solve that materialized X, that X is
+	// the LP's only optimal point, so every solver must return it. False
+	// means it is not, or that the test could not tell; the test never
+	// errs the other way within its tolerance (tieTol).
+	Unique bool
+	// Pivots counts the dual-simplex pivots plus those of the uniqueness
+	// test's face LP.
+	Pivots int
 	// Suspect counts ill-conditioned pivots of this solve.
 	Suspect int
 	// Cert is the optimal-basis certificate, present when the solve was
@@ -374,6 +382,9 @@ func (w *WarmStart) SolveRows(rows []*WarmRow, opts SetSolveOptions) SetSolution
 				XIntegral: w.baseXIntegral, OK: true}
 			if !opts.NoX {
 				r.X = append([]float64(nil), w.baseX...)
+				// The set's feasible region is the base's, so its optimum
+				// is unique exactly when the base optimum is.
+				r.Unique, r.Pivots, r.Suspect = w.baseUnique()
 			}
 			if opts.WantCert {
 				r.Cert = w.baseCert
@@ -387,18 +398,146 @@ func (w *WarmStart) SolveRows(rows []*WarmRow, opts SetSolveOptions) SetSolution
 		for i, row := range rows {
 			set[i] = row.src
 		}
-		w.checkAgainstCold(set, r.Status, r.Objective, opts.Cutoff)
+		w.checkAgainstCold(set, &r, opts.Cutoff)
 	}
 	return r
+}
+
+// baseUnique decides whether the base optimum is unique. The shared base
+// tableau is never modified: a base with no tied nonbasic column is unique
+// by the reduced-cost scan alone, and only a tied one is copied into
+// pooled scratch for the face LP.
+func (w *WarmStart) baseUnique() (unique bool, pivots, suspect int) {
+	b := w.base
+	tol := tieTol(w.baseObj)
+	if tiedNonbasic(b, b.m, b.total, b.artStart, b.total, tol) == 0 {
+		return true, 0, 0
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	m, total := w.loadDelta(s, nil, 0)
+	unique, pivots = s.uniqueOptimum(m, total, b.artStart, total, tol)
+	return unique, pivots, s.suspect
+}
+
+// tiedNonbasic counts the nonbasic columns of s that a uniqueness test must
+// rule out: admissible ones (outside the artificial block [artLo, artHi))
+// whose reduced cost lies within tol of zero. Every admissible basic
+// column is subtracted from the count of admissible tied columns, which
+// needs no per-column basis marker.
+func tiedNonbasic(s *scratch, m, total, artLo, artHi int, tol float64) int {
+	n := 0
+	for j := 0; j < total; j++ {
+		if (j < artLo || j >= artHi) && s.rc[j] >= -tol {
+			n++
+		}
+	}
+	for _, j := range s.basis[:m] {
+		if (j < artLo || j >= artHi) && s.rc[j] >= -tol {
+			n--
+		}
+	}
+	return n
+}
+
+// uniqueOptimum decides whether the optimal basic solution held in s (m
+// rows, total columns before the rhs, reduced costs s.rc <= 0 on admissible
+// columns in the internal max sense) is the LP's only optimum, and returns
+// the face-LP pivots spent deciding. Columns in [artLo, artHi) are
+// artificial and stay at zero.
+//
+// At an optimum z* + sum(rc_j x_j) is the objective, so the optimal face
+// is the feasible region with every nonbasic column of nonzero reduced
+// cost fixed at zero. A point of that face is determined by its nonbasic
+// values, so the optimum is unique exactly when the remaining (tied)
+// nonbasic columns must all stay at zero on the face: when the maximum of
+// their sum over the face is zero. That is one primal simplex from the
+// final basis under Bland's rule, with the tied columns' sum as objective
+// and the nonzero-reduced-cost columns barred from entering. Degenerate
+// pivots leave the point where it is; any positive step or ray moves to
+// another optimum (not unique), and so does giving up at the iteration
+// cap or at an ill-conditioned pivot. The pivots destroy the tableau, so
+// the caller reads the solution off it first.
+func (s *scratch) uniqueOptimum(m, total, artLo, artHi int, tol float64) (unique bool, pivots int) {
+	rc := s.rc
+	movable := func(j int) bool { return (j < artLo || j >= artHi) && rc[j] >= -tol }
+	if tiedNonbasic(s, m, total, artLo, artHi, tol) == 0 {
+		return true, 0
+	}
+	// fr is the face LP's reduced-cost row. Every basic column has a zero
+	// face cost, so before the first pivot fr is the face objective itself:
+	// 1 on the tied nonbasic columns, 0 elsewhere.
+	fr := s.obj
+	for j := 0; j < total; j++ {
+		fr[j] = 0
+		if movable(j) {
+			fr[j] = 1
+		}
+	}
+	for _, j := range s.basis[:m] {
+		fr[j] = 0
+	}
+	fr[total] = 0
+	suspect0 := s.suspect
+	limit := 50 * (m + total + 10)
+	for iter := 0; iter < limit; iter++ {
+		ec := -1
+		for j := 0; j < total; j++ {
+			if fr[j] > eps && movable(j) {
+				ec = j
+				break
+			}
+		}
+		if ec < 0 {
+			return true, pivots // the tied columns' sum cannot leave zero
+		}
+		// The step along column ec is zero only if a row that bounds it
+		// has a zero (degenerate) basic value; among those, Bland's rule
+		// picks the smallest basic column to leave.
+		lr := -1
+		bounded := false
+		for i := 0; i < m; i++ {
+			if s.tab[i][ec] <= eps {
+				continue
+			}
+			bounded = true
+			if s.tab[i][total] <= eps && (lr < 0 || s.basis[i] < s.basis[lr]) {
+				lr = i
+			}
+		}
+		if !bounded || lr < 0 {
+			return false, pivots // a ray or a positive step: another optimum
+		}
+		s.pivot(lr, ec, total)
+		pivots++
+		if s.suspect != suspect0 {
+			return false, pivots
+		}
+		if f := fr[ec]; f != 0 {
+			pr := s.tab[lr]
+			for _, j := range s.cols {
+				fr[j] -= f * pr[j]
+			}
+			fr[ec] = 0
+			fr[total] -= f * pr[total]
+		}
+	}
+	return false, pivots
 }
 
 // solveDelta appends the k slack-carried rows of the kept delta rows to a
 // copy of the base tableau and restores primal feasibility by dual simplex.
 func (w *WarmStart) solveDelta(rows []*WarmRow, k int, opts SetSolveOptions) SetSolution {
-	b := w.base
-	total0 := b.total
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
+	return w.solveDeltaOn(s, rows, k, opts)
+}
+
+// solveDeltaOn is solveDelta in the caller's scratch, whatever an earlier
+// solve left in it.
+func (w *WarmStart) solveDeltaOn(s *scratch, rows []*WarmRow, k int, opts SetSolveOptions) SetSolution {
+	b := w.base
+	total0 := b.total
 	m, total := w.loadDelta(s, rows, k)
 	rc := s.rc
 
@@ -508,7 +647,15 @@ func (w *WarmStart) solveDelta(rows []*WarmRow, k int, opts SetSolveOptions) Set
 		r = SetSolution{Status: Optimal, Objective: obj, XIntegral: integral,
 			Pivots: pivots, Suspect: s.suspect, OK: true}
 	} else {
-		x := make([]float64, w.nTab)
+		// Under a presolve the reduced assignment is staged in scratch, so
+		// the reconstructed vector is the only allocation.
+		var x []float64
+		if w.red != nil {
+			x = s.obj[:w.nTab]
+			clear(x)
+		} else {
+			x = make([]float64, w.nTab)
+		}
 		for i := 0; i < m; i++ {
 			if bc := s.basis[i]; bc < w.nTab {
 				v := s.tab[i][total]
@@ -531,6 +678,16 @@ func (w *WarmStart) solveDelta(rows []*WarmRow, k int, opts SetSolveOptions) Set
 	if opts.WantCert && w.red == nil {
 		r.Cert = &Certificate{Warm: true, Basis: append([]int(nil), s.basis[:m]...)}
 	}
+	if !opts.NoX {
+		// Under a presolve the test runs in the reduced space. That is
+		// enough: presolve only fixes variables or sets them equal to a
+		// reduced column, and drops rows the rest imply, so every original
+		// optimum is the image of a reduced one under an injective map.
+		var fp int
+		r.Unique, fp = s.uniqueOptimum(m, total, b.artStart, total0, tieTol(r.Objective))
+		r.Pivots += fp
+		r.Suspect = s.suspect
+	}
 	return r
 }
 
@@ -543,17 +700,24 @@ func (w *WarmStart) loadDelta(s *scratch, rows []*WarmRow, k int) (m, total int)
 	b := w.base
 	m0, total0 := b.m, b.total
 	m, total = m0+k, total0+k
-	s.ensure(m, total+1)
+	// Every entry of every row is written below, base rows by the copy and
+	// the rest by clears, so the pooled rows are not zeroed up front:
+	// zeroing them all first cost as much as the copy itself.
+	s.resize(m, total+1)
 	s.suspect = 0
 
 	// Copy the base tableau, shifting the rhs right past the new slack
-	// columns (which ensure left zeroed).
+	// columns, which are zero in the base rows.
 	for i := 0; i < m0; i++ {
 		src, dst := b.tab[i], s.tab[i]
 		copy(dst[:total0], src[:total0])
+		clear(dst[total0:total])
 		dst[total] = injectFault(FaultWarmBase, src[total0])
 		s.basis[i] = b.basis[i]
 		s.hi[i] = b.hi[i]
+	}
+	for i := m0; i < m; i++ {
+		clear(s.tab[i])
 	}
 	rc := s.rc
 	copy(rc[:total0], b.rc[:total0])
@@ -599,8 +763,9 @@ func (w *WarmStart) loadDelta(s *scratch, rows []*WarmRow, k int) (m, total int)
 // checkAgainstCold is the SetSelfCheck differential for the warm path: the
 // same base + delta problem is re-solved through the cold production
 // simplex (itself checked against the dense oracle when enabled) and the
-// outcomes must agree.
-func (w *WarmStart) checkAgainstCold(set []Constraint, status Status, obj, cutoff float64) {
+// outcomes must agree. A claim of a unique optimum must also agree on the
+// point: no other solver may find a different optimal assignment.
+func (w *WarmStart) checkAgainstCold(set []Constraint, r *SetSolution, cutoff float64) {
 	cold := &Problem{
 		Sense:       w.prob.Sense,
 		NumVars:     w.prob.NumVars,
@@ -608,12 +773,20 @@ func (w *WarmStart) checkAgainstCold(set []Constraint, status Status, obj, cutof
 		Prefix:      w.prob.Prefix,
 		Constraints: set,
 	}
-	cStatus, cObj, _, _ := simplex(cold)
-	switch status {
+	cStatus, cObj, cX, _ := simplex(cold)
+	switch r.Status {
 	case Optimal:
-		if cStatus != Optimal || math.Abs(cObj-obj) > ObjTol(cObj) {
+		if cStatus != Optimal || math.Abs(cObj-r.Objective) > ObjTol(cObj) {
 			panic(fmt.Sprintf("ilp: warm/cold divergence: warm optimal %.9g, cold %v %.9g on\n%s",
-				obj, cStatus, cObj, unpackProblem(cold)))
+				r.Objective, cStatus, cObj, unpackProblem(cold)))
+		}
+		if r.Unique && r.X != nil {
+			for j, v := range cX {
+				if math.Abs(v-r.X[j]) > intTol {
+					panic(fmt.Sprintf("ilp: warm/cold divergence: warm claims a unique optimum %v, cold found %v on\n%s",
+						r.X, cX, unpackProblem(cold)))
+				}
+			}
 		}
 	case Infeasible:
 		if cStatus != Infeasible {

@@ -75,7 +75,8 @@ func randomDelta(rng *rand.Rand, n int) []Constraint {
 // TestWarmStartAgainstCold is the warm-path differential: many random
 // (base, delta-set) pairs, both senses, warm dual-simplex result compared
 // to the cold two-phase solve of the identical problem — with the
-// dense-oracle self-check enabled so all three solvers must agree.
+// dense-oracle self-check enabled so all three solvers must agree, and
+// every unique claim must be the cold point.
 func TestWarmStartAgainstCold(t *testing.T) {
 	SetSelfCheck(true)
 	defer SetSelfCheck(false)

@@ -73,9 +73,12 @@ type Stats struct {
 	// Solved counts solve jobs carried to completion (optimal or
 	// infeasible).
 	Solved int
-	// WarmSolves counts jobs concluded by the warm dual-simplex path;
-	// ColdSolves counts full two-phase solves (base solves, fallbacks,
-	// disabled warm start, and the winner's canonicalizing re-solve).
+	// WarmSolves counts jobs concluded by the warm dual-simplex path plus
+	// the winners' finishing warm solves (finishDir), which also test the
+	// optimum for uniqueness; ColdSolves counts full two-phase solves (base
+	// solves, fallbacks, disabled warm start, and the canonicalizing
+	// re-solve of a winner whose optimum is not unique or has no warm
+	// base).
 	WarmSolves int
 	ColdSolves int
 	// Pivots counts simplex pivots across every solve of the estimate —
@@ -117,8 +120,9 @@ type Stats struct {
 	SuspectPivots int
 	// CertFailures counts per-set claims whose certificate was rejected by
 	// the exact checker (or whose certified value contradicted the claim);
-	// each was re-solved exactly. Zero without Options.Certify — and zero on
-	// a healthy solver.
+	// each was re-solved exactly, except a winner's finishing warm solve,
+	// which falls back to the (verified) cold re-solve. Zero without
+	// Options.Certify — and zero on a healthy solver.
 	CertFailures int
 	// ExactResolves counts exact rational re-solves performed under
 	// Options.Certify: one per claim without a verifiable certificate.
@@ -369,6 +373,15 @@ func (d *direction) warmRow(atoms []atomRow, k int32) *ilp.WarmRow {
 	return w.row
 }
 
+// lowered appends the set's rows, each lowered into the warm base once per
+// plan, to buf.
+func (d *direction) lowered(atoms []atomRow, set []int32, buf []*ilp.WarmRow) []*ilp.WarmRow {
+	for _, k := range set {
+		buf = append(buf, d.warmRow(atoms, k))
+	}
+	return buf
+}
+
 // solverPlan is the memoized per-analyzer solver setup: the expanded
 // constraint sets with their canonical-dedup structure and the two solve
 // directions. Apply invalidates it (annotations change the sets); repeated
@@ -561,11 +574,11 @@ func (p *solverPlan) problem(d *direction, set []int32) *ilp.Problem {
 	}
 }
 
-// finishKey identifies a winner's canonical count vector. The winning
-// counts come from a cold solve of the set's rows as written, so the key
-// is order-sensitive: a scenario listing the same rows in another order
-// re-derives its own counts, keeping reports bit-identical to the one-shot
-// path.
+// finishKey identifies a winner's canonical count vector. When the
+// winning optimum is not unique its counts come from a cold solve of the
+// set's rows as written, so the key is order-sensitive: a scenario listing
+// the same rows in another order re-derives its own counts, keeping
+// reports bit-identical to the one-shot path.
 func (p *solverPlan) finishKey(d *direction, set []int32) string {
 	var sb strings.Builder
 	sb.WriteString(d.keyPrefix)
@@ -582,12 +595,12 @@ type solveResult struct {
 	cycles int64
 	values []float64
 	stats  ilp.Stats
-	// warm marks a result concluded on the warm dual-simplex path (its
-	// values may sit on an alternate optimal vertex); cold marks that a
-	// full two-phase solve ran; dup marks a result copied from the set's
-	// canonical representative. The winner's counts are re-derived from a
-	// plain cold solve whenever warm or dup is set, keeping the reported
-	// BoundReport bit-identical to the exhaustive path.
+	// warm marks a result concluded on the warm dual-simplex path (it
+	// carries no values); cold marks that a full two-phase solve ran; dup
+	// marks a result copied from the set's canonical representative. The
+	// winner's counts are derived by finishDir whenever warm or dup is set,
+	// keeping the reported BoundReport bit-identical to the exhaustive
+	// path.
 	warm bool
 	cold bool
 	dup  bool
@@ -656,16 +669,12 @@ func (a *Analyzer) solveSet(ctx context.Context, plan *solverPlan, d *direction,
 	}
 
 	if d.warm != nil && d.warm.Ready() {
-		// The set's rows, each lowered into the warm tableau once per plan.
+		// NoX: only the winner's counts are reported, and finishDir derives
+		// them in a finishing solve of its own, so no per-set solve needs
+		// the assignment materialized — integrality arrives precomputed in
+		// ws.XIntegral.
 		var buf [16]*ilp.WarmRow
-		rows := buf[:0]
-		for _, k := range set {
-			rows = append(rows, d.warmRow(plan.atoms, k))
-		}
-		// NoX: a warm winner's counts are always re-derived by finishDir's
-		// canonical cold re-solve, so no per-set solve needs the assignment
-		// materialized — integrality arrives precomputed in ws.XIntegral.
-		ws := d.warm.SolveRows(rows, ilp.SetSolveOptions{
+		ws := d.warm.SolveRows(d.lowered(plan.atoms, set, buf[:0]), ilp.SetSolveOptions{
 			Cutoff: cut, UseCutoff: useCutoff, WantCert: certOn, NoX: true})
 		r.stats.Pivots += ws.Pivots
 		r.stats.SuspectPivots += ws.Suspect
@@ -913,33 +922,109 @@ func (a *Analyzer) reduceDir(est *Estimate, d *direction, plan *solverPlan, resu
 	return best, bestRes, nil
 }
 
-// finishDir fills the winning BoundReport's counts. When the winner was
-// answered by the warm path, copied from a canonical duplicate, or served
-// from a session's outcome cache, its values may come from an alternate
-// optimal vertex or a differently ordered row list (or not exist at all);
-// one plain cold re-solve of the winning set re-derives the exact counts
-// the exhaustive path reports. Prepared sessions retain that canonical
-// count vector, keyed order-sensitively by the winning set's own rows, so
-// a repeat scenario skips the re-solve and still reports identical counts.
+// finishDir fills the winning BoundReport's counts. A winner solved cold
+// carries the counts the exhaustive path reports. A winner answered by the
+// warm path, copied from a canonical duplicate, or served from a session's
+// outcome cache carries none that can stand as they are (the warm fan-out
+// skips the assignment, a duplicate's values follow another row order, a
+// cached outcome has none), so the winning set's warm solve is re-run with
+// its assignment and a uniqueness test: a unique optimum is the one count
+// vector every solver returns. Only a winner whose optimum is not unique,
+// or cannot be verified, pays a plain cold re-solve, which re-derives the
+// exhaustive path's counts. Prepared sessions retain every winner's count
+// vector, keyed order-sensitively by the winning set's own rows, so a
+// repeat scenario skips the finish and still reports identical counts.
 func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *solverPlan, best *BoundReport, win *solveResult) error {
-	if !win.warm && !win.dup {
-		best.Counts = a.aggregateCounts(win.values)
-		return nil
-	}
 	d := &plan.dirs[di]
 	set := plan.sets[best.SetIndex]
 	var key string
 	if a.persist {
 		key = plan.finishKey(d, set)
-		if vals, ok := a.finishCache.Get(key); ok {
-			best.Counts = a.aggregateCounts(vals)
-			return nil
+	}
+	vals := win.values
+	if win.warm || win.dup {
+		if a.persist {
+			if cached, ok := a.finishCache.Get(key); ok {
+				best.Counts = a.aggregateCounts(cached)
+				return nil
+			}
+		}
+		var ok bool
+		if vals, ok = a.warmFinish(est, plan, d, set, best.Cycles); !ok {
+			var err error
+			if vals, err = a.coldFinish(ctx, est, plan.problem(d, set), best); err != nil {
+				return err
+			}
 		}
 	}
-	p := plan.problem(d, set)
+	if a.persist {
+		a.finishCache.Put(key, vals)
+	}
+	best.Counts = a.aggregateCounts(vals)
+	return nil
+}
+
+// warmFinish re-runs the winning set's warm solve with the assignment
+// materialized, which also tests it for uniqueness, and returns it when
+// it stands as the winner's counts: the solve is optimal at the winning
+// bound, integral, and its optimum is unique, so no solver could return
+// other counts. Under Certify the solve must also carry a clean certificate
+// that proves the bound exactly, at the point the float solve reports. ok
+// is false when the cold re-solve has to decide instead; the solve's work
+// is counted either way.
+func (a *Analyzer) warmFinish(est *Estimate, plan *solverPlan, d *direction, set []int32, cycles int64) (vals []float64, ok bool) {
+	if d.warm == nil || !d.warm.Ready() {
+		return nil, false
+	}
+	var buf [16]*ilp.WarmRow
+	ws := d.warm.SolveRows(d.lowered(plan.atoms, set, buf[:0]),
+		ilp.SetSolveOptions{WantCert: a.Opts.Certify})
+	est.Stats.Pivots += ws.Pivots
+	est.Stats.SuspectPivots += ws.Suspect
+	if !ws.OK {
+		return nil, false
+	}
+	est.LPSolves++
+	est.Stats.WarmSolves++
+	if ws.Status != ilp.Optimal || !ws.Unique || !ws.XIntegral || int64(math.Round(ws.Objective)) != cycles {
+		return nil, false
+	}
+	if !a.Opts.Certify {
+		return ws.X, true
+	}
+	if ws.Suspect > 0 || ws.Cert == nil {
+		return nil, false
+	}
+	if res, err := certify.Verify(plan.problem(d, set), ws.Cert); err == nil {
+		if ex, exOK := ratInt64(res.Objective); exOK && ex == cycles && sameCounts(res.X, ws.X) {
+			return ws.X, true
+		}
+	}
+	est.Stats.CertFailures++
+	return nil, false
+}
+
+// sameCounts reports whether a float assignment rounds to the exact one
+// coordinate by coordinate: the float point is the exact point of its
+// basis, not one a corrupted tableau produced.
+func sameCounts(exact []*big.Rat, x []float64) bool {
+	if len(exact) != len(x) {
+		return false
+	}
+	for j, v := range exact {
+		if n, ok := ratInt64(v); !ok || float64(n) != math.Round(x[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// coldFinish re-solves the winning set cold from scratch and returns the
+// canonical counts the exhaustive path reports.
+func (a *Analyzer) coldFinish(ctx context.Context, est *Estimate, p *ilp.Problem, best *BoundReport) ([]float64, error) {
 	sol, err := ilp.SolveCtxOpts(ctx, p, ilp.SolveOptions{WantCert: a.Opts.Certify})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	est.LPSolves += sol.Stats.LPSolves
 	est.Branches += sol.Stats.Branches
@@ -976,7 +1061,7 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 			est.Stats.Resolves.note(sol.Status, suspect, !ok || sol.Cert != nil)
 			exr, err := certify.SolveExact(ctx, p)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			est.LPSolves += exr.LPSolves
 			var ex int64
@@ -985,7 +1070,7 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 				ex, exOK = ratInt64(exr.Objective)
 			}
 			if !exOK || ex != best.Cycles {
-				return fmt.Errorf("ipet: internal error: exact canonical re-solve of set %d returned %v, want %d cycles",
+				return nil, fmt.Errorf("ipet: internal error: exact canonical re-solve of set %d returned %v, want %d cycles",
 					best.SetIndex+1, exr.Status, best.Cycles)
 			}
 			vals = ratFloats(exr.X)
@@ -993,14 +1078,10 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 		}
 	}
 	if !ok {
-		return fmt.Errorf("ipet: internal error: canonical re-solve of set %d returned %v %g, want %d cycles",
+		return nil, fmt.Errorf("ipet: internal error: canonical re-solve of set %d returned %v %g, want %d cycles",
 			best.SetIndex+1, sol.Status, sol.Objective, best.Cycles)
 	}
-	if a.persist {
-		a.finishCache.Put(key, vals)
-	}
-	best.Counts = a.aggregateCounts(vals)
-	return nil
+	return vals, nil
 }
 
 // incumbent tracking: one atomic best bound per direction, initialized to

@@ -36,8 +36,8 @@ import (
 // the user tweaks one formula among many — skip the shared solves
 // entirely. Reports remain bit-identical to a fresh one-shot Analyzer at
 // every worker count: cached outcomes are cutoff-independent values, and
-// winning counts are always the result of the same canonical cold solve
-// the one-shot path runs.
+// winning counts are always the result of the same finish (a unique warm
+// optimum, or else a canonical cold solve) the one-shot path runs.
 //
 // A Session is immutable after Prepare apart from its internal caches,
 // which are mutex-guarded: concurrent Estimate calls are safe.
