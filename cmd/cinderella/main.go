@@ -37,7 +37,6 @@ import (
 	"cinderella/internal/cc"
 	"cinderella/internal/cfg"
 	"cinderella/internal/constraint"
-	"cinderella/internal/ilp"
 	"cinderella/internal/ipet"
 	"cinderella/internal/isa"
 	"cinderella/internal/prepcache"
@@ -67,7 +66,6 @@ func main() {
 		certify   = flag.Bool("certify", false, "back every bound with an exact rational check: verify each solve's optimality certificate by a sparse exact solve (int64 fractions, promoted to big.Rat on overflow) and re-solve unverifiable claims with an exact rational simplex")
 		mhz       = flag.Float64("mhz", 20, "clock frequency used to report times (the QT960 runs at 20 MHz)")
 		profile   = flag.String("profile", "i960kb", "processor timing profile (i960kb, dsp3210)")
-		kernels   = flag.String("kernels", "all", "solver fast-path kernels: all, network, revised, or tableau (tableau disables both fast paths; routing never changes a bound)")
 		param     = flag.String("param", "", "treat annotation symbols as parameters with domains, e.g. n1=1..100,n2=0..8; prints the piecewise-linear bound formula")
 		sweep     = flag.Bool("sweep", false, "with -param, tabulate the bound at every integer point of the parameter domain")
 	)
@@ -78,18 +76,6 @@ func main() {
 	timing, ok := isa.Profiles()[*profile]
 	if !ok {
 		fatal(fmt.Errorf("unknown timing profile %q (have i960kb, dsp3210)", *profile))
-	}
-	switch *kernels {
-	case "all":
-		ilp.SetKernels(true, true)
-	case "network":
-		ilp.SetKernels(true, false)
-	case "revised":
-		ilp.SetKernels(false, true)
-	case "tableau":
-		ilp.SetKernels(false, false)
-	default:
-		fatal(fmt.Errorf("unknown -kernels value %q (have all, network, revised, tableau)", *kernels))
 	}
 
 	opts := ipet.DefaultOptions()

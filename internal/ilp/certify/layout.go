@@ -176,7 +176,7 @@ func coldForm(p *ilp.Problem) *stdForm {
 // only) lowered cold, then each per-set constraint lowered to <= rows each
 // carried by one fresh slack — >= negated, = split into a <=/>= pair, no
 // sign normalization — with constant rows the base trivially satisfies
-// dropped, exactly as WarmStart.SolveSet does. Returns an error when a
+// dropped, exactly as the warm per-set solves do. Returns an error when a
 // constant row is a contradiction: such a set reports Infeasible without a
 // tableau and can never have produced a certificate.
 func warmForm(p *ilp.Problem) (*stdForm, error) {

@@ -32,10 +32,11 @@ var kernelsOff atomic.Uint32
 
 // SetKernels toggles the solver's fast-path kernels globally: the network
 // min-cost-flow kernel and the revised factored-basis simplex. Disabling
-// both routes every solve through the retained full-tableau kernel.
-// Routing never changes an answer — every kernel is differential-checked
-// against the same oracles — so the toggles exist for benchmarking and for
-// isolating a kernel under test.
+// both routes every solve through the retained full-tableau kernel. Routing
+// never changes a bound or a status — every kernel is differential-checked
+// against the same oracles — but where an optimum is not unique, kernels
+// may return different optimal points. The toggles exist for isolating a
+// kernel under test.
 func SetKernels(network, revised bool) {
 	var off uint32
 	if !network {
@@ -45,12 +46,6 @@ func SetKernels(network, revised bool) {
 		off |= kernelRevised
 	}
 	kernelsOff.Store(off)
-}
-
-// KernelsEnabled reports the current kernel toggles.
-func KernelsEnabled() (network, revised bool) {
-	off := kernelsOff.Load()
-	return off&kernelNetwork == 0, off&kernelRevised == 0
 }
 
 // Sense selects optimization direction.
@@ -121,7 +116,7 @@ const (
 	Infeasible
 	Unbounded
 	// Dominated reports a solve abandoned under a cutoff (SolveOptions or
-	// WarmStart.SolveSet): the LP relaxation proved the optimum is strictly
+	// SetSolveOptions): the LP relaxation proved the optimum is strictly
 	// worse than the caller's incumbent, so the exact value was never
 	// computed. Only produced when a cutoff was supplied.
 	Dominated

@@ -183,8 +183,9 @@ func TestRevisedKernelMatchesOracles(t *testing.T) {
 	}
 }
 
-// TestKernelToggles checks SetKernels routing: with both fast paths off,
-// solves still answer identically through the tableau.
+// TestKernelToggles checks SetKernels routing: each toggle sets exactly its
+// kernel's disable bit, and with either or both fast paths off solves still
+// answer identically.
 func TestKernelToggles(t *testing.T) {
 	defer SetKernels(true, true)
 	p := fixtureProblems()[0]
@@ -194,8 +195,9 @@ func TestKernelToggles(t *testing.T) {
 	}
 	for _, cfg := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
 		SetKernels(cfg[0], cfg[1])
-		if n, r := KernelsEnabled(); n != cfg[0] || r != cfg[1] {
-			t.Fatalf("KernelsEnabled = %v,%v after SetKernels(%v,%v)", n, r, cfg[0], cfg[1])
+		off := kernelsOff.Load()
+		if n, r := off&kernelNetwork == 0, off&kernelRevised == 0; n != cfg[0] || r != cfg[1] {
+			t.Fatalf("kernels enabled = %v,%v after SetKernels(%v,%v)", n, r, cfg[0], cfg[1])
 		}
 		sol, err := Solve(p)
 		if err != nil {

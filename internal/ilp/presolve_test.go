@@ -135,9 +135,9 @@ func TestPresolveDeltaLowering(t *testing.T) {
 
 // TestPresolveWarmStartEquivalence replays random bases with presolvable
 // structure (fixed roots, equal-pair rows, null branches) through the warm
-// start and asserts SolveSet agrees with the cold solver on status,
-// objective, and feasibility of the returned point — the same contract the
-// unreduced warm start honors.
+// start and asserts the warm per-set solve agrees with the cold solver on
+// status, objective, and feasibility of the returned point — the same
+// contract the unreduced warm start honors.
 func TestPresolveWarmStartEquivalence(t *testing.T) {
 	SetSelfCheck(true)
 	defer SetSelfCheck(false)
@@ -166,9 +166,9 @@ func TestPresolveWarmStartEquivalence(t *testing.T) {
 			sense = Minimize
 		}
 		base := presolveProblem(sense, n, obj, rows)
-		w := NewWarmStart(base)
+		w := NewWarmStartOpts(base, WarmOptions{})
 		if !w.Ready() {
-			t.Fatalf("trial %d: warm start not ready (base status %v)", trial, w.BaseStatus())
+			t.Fatalf("trial %d: warm start not ready (base status %v)", trial, w.baseStatus)
 		}
 		if w.red == nil {
 			t.Fatalf("trial %d: presolve eliminated nothing on a reducible base", trial)
@@ -184,8 +184,9 @@ func TestPresolveWarmStartEquivalence(t *testing.T) {
 			}
 			set[i] = c
 		}
-		status, objv, x, _, ok := w.SolveSet(set, 0, false)
-		if !ok {
+		r := w.SolveSetOpts(set, SetSolveOptions{})
+		status, objv, x := r.Status, r.Objective, r.X
+		if !r.OK {
 			t.Fatalf("trial %d: warm path gave up", trial)
 		}
 		cold := &Problem{Sense: sense, NumVars: n, Objective: obj, Prefix: base.Prefix, Constraints: set}

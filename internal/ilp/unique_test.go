@@ -213,7 +213,7 @@ func TestWarmSolveReusesDirtyScratch(t *testing.T) {
 		}
 		n := 3 + rng.Intn(4)
 		big, small := warmBase(rng, sense, n+4), warmBase(rng, sense, n)
-		wBig, w := NewWarmStart(big), NewWarmStart(small)
+		wBig, w := NewWarmStartOpts(big, WarmOptions{}), NewWarmStartOpts(small, WarmOptions{})
 		if !wBig.Ready() || !w.Ready() {
 			continue
 		}

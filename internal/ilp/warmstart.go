@@ -13,9 +13,9 @@ import (
 // dual simplex from the base basis with only their delta rows attached,
 // instead of paying a full two-phase cold solve each.
 //
-// The retained tableau is read-only after NewWarmStart; SolveSet copies it
-// into pooled scratch, so concurrent SolveSet calls on one WarmStart are
-// safe.
+// The retained tableau is read-only after NewWarmStartOpts; every per-set
+// solve (SolveRows) copies it into pooled scratch, so concurrent solves on
+// one WarmStart are safe.
 type WarmStart struct {
 	prob       *Problem
 	red        *presolved // non-nil when the structural presolve shrank the base
@@ -45,17 +45,12 @@ type WarmOptions struct {
 	DisablePresolve bool
 }
 
-// NewWarmStart solves the base problem once with the cold two-phase
+// NewWarmStartOpts solves the base problem once with the cold two-phase
 // simplex and retains the optimal tableau. The problem must consist of
 // Prefix rows only (no Constraints — those are the per-set deltas). When
 // the base is not solvable to optimality (infeasible, unbounded, or
-// degenerate with no rows), Ready reports false and every SolveSet call
+// degenerate with no rows), Ready reports false and every per-set solve
 // asks the caller to fall back to a cold solve.
-func NewWarmStart(p *Problem) *WarmStart {
-	return NewWarmStartOpts(p, WarmOptions{})
-}
-
-// NewWarmStartOpts is NewWarmStart with options.
 func NewWarmStartOpts(p *Problem, opts WarmOptions) *WarmStart {
 	w := &WarmStart{prob: p, sign: 1, baseStatus: Infeasible}
 	if p.Sense == Minimize {
@@ -120,9 +115,6 @@ func NewWarmStartOpts(p *Problem, opts WarmOptions) *WarmStart {
 // Ready reports whether the base tableau is available for warm solves.
 func (w *WarmStart) Ready() bool { return w.ok }
 
-// BaseStatus returns the base solve's status (Optimal when Ready).
-func (w *WarmStart) BaseStatus() Status { return w.baseStatus }
-
 // BasePivots returns the pivot count of the one-time base solve.
 func (w *WarmStart) BasePivots() int { return w.basePivots }
 
@@ -132,25 +124,6 @@ func (w *WarmStart) BasePivots() int { return w.basePivots }
 // Minimize) — the envelope an anytime analysis reports for sets it never
 // got to solve.
 func (w *WarmStart) BaseObjective() (float64, bool) { return w.baseObj, w.ok }
-
-// SolveSet re-solves the base problem with the given delta rows appended,
-// by dual simplex from the retained base optimum. It returns the LP
-// relaxation's result: the caller handles integrality (the root is
-// integral in this domain almost always; a fractional root falls back to
-// the cold branch-and-bound path).
-//
-// When useCutoff is set, cutoff is a bound in the problem's own sense: the
-// solve returns Dominated as soon as the (monotonically tightening) dual
-// bound proves the optimum is strictly worse than cutoff — below it for
-// Maximize, above it for Minimize — without finishing the solve.
-//
-// The final result ok=false means the warm path gave up (anti-cycling
-// iteration cap) and the caller must re-solve cold; the returned pivot
-// count is still valid work performed.
-func (w *WarmStart) SolveSet(set []Constraint, cutoff float64, useCutoff bool) (status Status, obj float64, x []float64, pivots int, ok bool) {
-	r := w.SolveSetOpts(set, SetSolveOptions{Cutoff: cutoff, UseCutoff: useCutoff})
-	return r.Status, r.Objective, r.X, r.Pivots, r.OK
-}
 
 // SetSolveOptions tunes one warm per-set solve (SolveRows).
 type SetSolveOptions struct {
@@ -201,10 +174,23 @@ type SetSolution struct {
 	OK bool
 }
 
-// SolveSetOpts is SolveSet with the full option set and the full per-solve
-// result. It lowers every row of the set for this one solve; callers that
-// solve many sets over a shared pool of rows lower each row once with
-// LowerRow and call SolveRows.
+// SolveSetOpts re-solves the base problem with the given delta rows
+// appended, by dual simplex from the retained base optimum. It returns the
+// LP relaxation's result: the caller handles integrality (the root is
+// integral in this domain almost always; a fractional root falls back to
+// the cold branch-and-bound path).
+//
+// With opts.UseCutoff, opts.Cutoff is a bound in the problem's own sense:
+// the solve returns Dominated as soon as the (monotonically tightening)
+// dual bound proves the optimum is strictly worse than it — below it for
+// Maximize, above it for Minimize — without finishing the solve.
+//
+// OK false means the warm path gave up (anti-cycling iteration cap) and the
+// caller must re-solve cold; Pivots is still valid work performed.
+//
+// It lowers every row of the set for this one solve; callers that solve
+// many sets over a shared pool of rows lower each row once with LowerRow
+// and call SolveRows.
 func (w *WarmStart) SolveSetOpts(set []Constraint, opts SetSolveOptions) SetSolution {
 	rows := make([]*WarmRow, len(set))
 	for i := range set {
@@ -343,7 +329,7 @@ func (w *WarmStart) eliminate(cols []int32, vals []float64, negate bool, rhs flo
 }
 
 // SolveRows re-solves the base problem with the given lowered rows
-// appended (see SolveSet for the result's meaning). Every row must have
+// appended (see SolveSetOpts for the result's meaning). Every row must have
 // been lowered by this WarmStart.
 func (w *WarmStart) SolveRows(rows []*WarmRow, opts SetSolveOptions) SetSolution {
 	if !w.ok {
@@ -802,8 +788,3 @@ func (w *WarmStart) checkAgainstCold(set []Constraint, r *SetSolution, cutoff fl
 		}
 	}
 }
-
-// IsIntegral reports whether every entry of x is integral within the
-// branch-and-bound tolerance — exported so callers consuming a warm LP
-// solve can decide whether it already answers the integer problem.
-func IsIntegral(x []float64) bool { return isIntegral(x) }

@@ -88,7 +88,7 @@ func TestWarmStartAgainstCold(t *testing.T) {
 		}
 		n := 3 + rng.Intn(5)
 		base := warmBase(rng, sense, n)
-		w := NewWarmStart(base)
+		w := NewWarmStartOpts(base, WarmOptions{})
 		if !w.Ready() {
 			// Base infeasible/unbounded by construction is rare but legal;
 			// the caller would go cold. Nothing warm to verify.
@@ -101,8 +101,9 @@ func TestWarmStartAgainstCold(t *testing.T) {
 				Prefix: base.Prefix, Constraints: set,
 			}
 			cStatus, cObj, _, _ := simplex(cold)
-			status, obj, x, _, ok := w.SolveSet(set, 0, false)
-			if !ok {
+			r := w.SolveSetOpts(set, SetSolveOptions{})
+			status, obj, x := r.Status, r.Objective, r.X
+			if !r.OK {
 				t.Fatalf("trial %d set %d: warm solve gave up", trial, si)
 			}
 			if status != cStatus {
@@ -131,15 +132,16 @@ func TestWarmStartCutoff(t *testing.T) {
 		}
 		n := 3 + rng.Intn(4)
 		base := warmBase(rng, sense, n)
-		w := NewWarmStart(base)
+		w := NewWarmStartOpts(base, WarmOptions{})
 		if !w.Ready() {
 			continue
 		}
 		set := randomDelta(rng, n)
-		status, obj, _, _, ok := w.SolveSet(set, 0, false)
-		if !ok || status != Optimal {
+		r := w.SolveSetOpts(set, SetSolveOptions{})
+		if !r.OK || r.Status != Optimal {
 			continue
 		}
+		obj := r.Objective
 		// A cutoff strictly beyond the optimum must dominate the set; one
 		// strictly behind it must let the solve finish with the same value.
 		var beyond, behind float64
@@ -148,12 +150,12 @@ func TestWarmStartCutoff(t *testing.T) {
 		} else {
 			beyond, behind = obj-1, obj+1
 		}
-		if st, _, _, _, ok := w.SolveSet(set, beyond, true); !ok || st != Dominated {
-			t.Fatalf("trial %d: cutoff %.9g past optimum %.9g: status %v ok=%v", trial, beyond, obj, st, ok)
+		if r := w.SolveSetOpts(set, SetSolveOptions{Cutoff: beyond, UseCutoff: true}); !r.OK || r.Status != Dominated {
+			t.Fatalf("trial %d: cutoff %.9g past optimum %.9g: status %v ok=%v", trial, beyond, obj, r.Status, r.OK)
 		}
-		st, got, _, _, ok := w.SolveSet(set, behind, true)
-		if !ok || st != Optimal || math.Abs(got-obj) > 1e-6 {
-			t.Fatalf("trial %d: cutoff %.9g behind optimum %.9g: status %v obj %.9g", trial, behind, obj, st, got)
+		r = w.SolveSetOpts(set, SetSolveOptions{Cutoff: behind, UseCutoff: true})
+		if !r.OK || r.Status != Optimal || math.Abs(r.Objective-obj) > 1e-6 {
+			t.Fatalf("trial %d: cutoff %.9g behind optimum %.9g: status %v obj %.9g", trial, behind, obj, r.Status, r.Objective)
 		}
 	}
 }
@@ -171,30 +173,30 @@ func TestWarmStartEmptyAndInfeasibleSets(t *testing.T) {
 			c(map[int]float64{0: 1, 1: 3}, LE, 6),
 		}),
 	}
-	w := NewWarmStart(base)
+	w := NewWarmStartOpts(base, WarmOptions{})
 	if !w.Ready() {
-		t.Fatalf("base not ready: %v", w.BaseStatus())
+		t.Fatalf("base not ready: %v", w.baseStatus)
 	}
-	status, obj, x, pivots, ok := w.SolveSet(nil, 0, false)
-	if !ok || status != Optimal || math.Abs(obj-12) > 1e-6 || pivots != 0 {
-		t.Fatalf("empty set: %v obj=%v pivots=%d ok=%v", status, obj, pivots, ok)
+	r := w.SolveSetOpts(nil, SetSolveOptions{})
+	if !r.OK || r.Status != Optimal || math.Abs(r.Objective-12) > 1e-6 || r.Pivots != 0 {
+		t.Fatalf("empty set: %v obj=%v pivots=%d ok=%v", r.Status, r.Objective, r.Pivots, r.OK)
 	}
-	if math.Abs(x[0]-4) > 1e-6 {
-		t.Fatalf("empty set values: %v", x)
+	if math.Abs(r.X[0]-4) > 1e-6 {
+		t.Fatalf("empty set values: %v", r.X)
 	}
-	status, _, _, _, ok = w.SolveSet([]Constraint{
+	r = w.SolveSetOpts([]Constraint{
 		c(map[int]float64{0: 1, 1: 1}, GE, 100),
-	}, 0, false)
-	if !ok || status != Infeasible {
-		t.Fatalf("contradictory set: %v ok=%v", status, ok)
+	}, SetSolveOptions{})
+	if !r.OK || r.Status != Infeasible {
+		t.Fatalf("contradictory set: %v ok=%v", r.Status, r.OK)
 	}
 	// Equality deltas pin the optimum to an interior face: with x0 = 1 the
 	// binding row is x0 + 3 x1 <= 6, so x1 = 5/3 and the objective is 19/3.
-	status, obj, _, _, ok = w.SolveSet([]Constraint{
+	r = w.SolveSetOpts([]Constraint{
 		c(map[int]float64{0: 1}, EQ, 1),
-	}, 0, false)
-	if !ok || status != Optimal || math.Abs(obj-19.0/3) > 1e-6 {
-		t.Fatalf("equality set: %v obj=%v ok=%v (want 19/3)", status, obj, ok)
+	}, SetSolveOptions{})
+	if !r.OK || r.Status != Optimal || math.Abs(r.Objective-19.0/3) > 1e-6 {
+		t.Fatalf("equality set: %v obj=%v ok=%v (want 19/3)", r.Status, r.Objective, r.OK)
 	}
 }
 

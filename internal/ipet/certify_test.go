@@ -135,64 +135,16 @@ func TestCertifyInfeasibleClaims(t *testing.T) {
 // ilp.SetSelfCheck must stay off (the dense differential oracle is
 // deliberately unfaulted and would panic by design).
 func TestCertifyFaultInjection(t *testing.T) {
-	src, _ := manySetProgram(3)
-	// Pin only the first diamond: the remaining two are chosen by the
-	// objective, so corrupting the objective genuinely moves the optimum
-	// (fully pinned sets are single points and mask objective faults).
-	annots := `func main {
-    (x2 = 1 & x3 = 0) | (x2 = 0 & x3 = 1)
-}
-`
-	certOpts := func(o *Options) {
-		o.Workers = 1
-		o.Certify = true
-	}
-	oracle := estimateOpts(t, src, annots, certOpts)
+	src, annots := faultProgram()
+	oracle := estimateOpts(t, src, annots, certifyOneWorker)
 	if !oracle.WCET.Certified || !oracle.BCET.Certified {
 		t.Fatalf("oracle run not certified: %+v / %+v", oracle.WCET, oracle.BCET)
 	}
-
-	cases := []struct {
-		name  string
-		fault func(ilp.FaultSite, float64) float64
-		// wantCertFail marks faults that deterministically produce rejected
-		// certificates (not merely claims that skip certification).
-		wantCertFail bool
-	}{
-		{
-			name: "flipped pivot sign",
-			fault: func(s ilp.FaultSite, v float64) float64 {
-				if s == ilp.FaultPivot {
-					return -v
-				}
-				return v
-			},
-		},
-		{
-			name: "truncated objective coefficient",
-			fault: func(s ilp.FaultSite, v float64) float64 {
-				if s == ilp.FaultObjective {
-					return math.Trunc(v / 16)
-				}
-				return v
-			},
-			wantCertFail: true,
-		},
-		{
-			name: "stale warm-start basis",
-			fault: func(s ilp.FaultSite, v float64) float64 {
-				if s == ilp.FaultWarmBase {
-					return v + 1
-				}
-				return v
-			},
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range certFaults {
 		t.Run(tc.name, func(t *testing.T) {
 			ilp.SetFaultInjector(tc.fault)
 			defer ilp.SetFaultInjector(nil)
-			est := estimateOpts(t, src, annots, certOpts)
+			est := estimateOpts(t, src, annots, certifyOneWorker)
 			if est.WCET.Cycles != oracle.WCET.Cycles || est.BCET.Cycles != oracle.BCET.Cycles {
 				t.Errorf("faulted bounds [%d, %d] diverge from oracle [%d, %d]",
 					est.BCET.Cycles, est.WCET.Cycles, oracle.BCET.Cycles, oracle.WCET.Cycles)
@@ -217,6 +169,109 @@ func TestCertifyFaultInjection(t *testing.T) {
 				est.Stats.ExactResolves, est.Stats.Resolves, est.Stats.CertFailures, est.Stats.SuspectPivots)
 		})
 	}
+}
+
+// faultProgram is the fault-injection workload: three diamonds with only
+// the first pinned. The remaining two are chosen by the objective, so
+// corrupting the objective genuinely moves the optimum (fully pinned sets
+// are single points and mask objective faults).
+func faultProgram() (src, annots string) {
+	src, _ = manySetProgram(3)
+	return src, `func main {
+    (x2 = 1 & x3 = 0) | (x2 = 0 & x3 = 1)
+}
+`
+}
+
+func certifyOneWorker(o *Options) {
+	o.Workers = 1
+	o.Certify = true
+}
+
+// certFaults corrupts each instrumented float64 site of the production
+// solvers in turn.
+var certFaults = []struct {
+	name  string
+	fault func(ilp.FaultSite, float64) float64
+	// wantCertFail marks faults that deterministically produce rejected
+	// certificates (not merely claims that skip certification).
+	wantCertFail bool
+}{
+	{
+		name: "flipped pivot sign",
+		fault: func(s ilp.FaultSite, v float64) float64 {
+			if s == ilp.FaultPivot {
+				return -v
+			}
+			return v
+		},
+	},
+	{
+		name: "truncated objective coefficient",
+		fault: func(s ilp.FaultSite, v float64) float64 {
+			if s == ilp.FaultObjective {
+				return math.Trunc(v / 16)
+			}
+			return v
+		},
+		wantCertFail: true,
+	},
+	{
+		name: "stale warm-start basis",
+		fault: func(s ilp.FaultSite, v float64) float64 {
+			if s == ilp.FaultWarmBase {
+				return v + 1
+			}
+			return v
+		},
+	},
+}
+
+// TestWitnessConsistencyUnderFaults: the counts reported with a certified
+// bound are a witness of it — priced at the block costs they add up to the
+// reported cycles — even when every float solve is corrupted. Under these
+// faults the winners' finishing warm solves fail their checks, so the
+// counts come from the cold finish and its exact backing.
+func TestWitnessConsistencyUnderFaults(t *testing.T) {
+	src, annots := faultProgram()
+	for _, tc := range certFaults {
+		t.Run(tc.name, func(t *testing.T) {
+			ilp.SetFaultInjector(tc.fault)
+			defer ilp.SetFaultInjector(nil)
+			an := analyzerWith(t, src, annots, certifyOneWorker)
+			est, err := an.Estimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, side := range []struct {
+				name  string
+				rep   BoundReport
+				worst bool
+			}{{"WCET", est.WCET, true}, {"BCET", est.BCET, false}} {
+				if got := witnessCycles(an.Session, side.rep.Counts, side.worst); got != side.rep.Cycles {
+					t.Errorf("%s counts price to %d cycles, report says %d", side.name, got, side.rep.Cycles)
+				}
+			}
+			t.Logf("%d cold solves", est.Stats.ColdSolves)
+		})
+	}
+}
+
+// witnessCycles prices per-function block counts at the session's block
+// costs, worst-case or best-case.
+func witnessCycles(s *Session, counts map[string][]int64, worst bool) int64 {
+	var total int64
+	for fn, cs := range counts {
+		costs := s.BlockCosts(fn)
+		for b, n := range cs {
+			if worst {
+				total += n * costs[b].Worst
+			} else {
+				total += n * costs[b].Best
+			}
+		}
+	}
+	return total
 }
 
 // TestCertifySessionCache: a certifying estimate must never trust an

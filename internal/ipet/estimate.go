@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -397,11 +395,11 @@ type solverPlan struct {
 	// (Options.WidenSets); nWidened counts them.
 	widened  []bool
 	nWidened int
-	// repOf[i] is the index of the earliest set canonically identical to
-	// set i (i itself when distinct); distinct lists the representatives
-	// in set order.
-	repOf    []int
+	// distinct lists, in set order, the representatives: each the earliest
+	// of its canonically identical sets. slot[i] is the position in
+	// distinct of set i's representative.
 	distinct []int
+	slot     []int
 	deduped  int
 	// keys[i] is the canonical key of set i, computed when dedup or a
 	// persistent session needs it (nil otherwise). rowKeys[k] is atom k's
@@ -412,10 +410,9 @@ type solverPlan struct {
 	rowKeys []string
 	loopKey string
 	dirs    []direction
-	// Work performed building the plan (warm base solves), charged to the
-	// Estimate call that triggered the build.
-	setupLP, setupPivots, setupCold    int
-	setupNet, setupRev, setupRefactors int
+	// setup is the work of the plan's warm base and relaxation solves,
+	// charged to the Estimate call that built the plan (newEstimate).
+	setup Estimate
 }
 
 // solverSetup returns the memoized solver plan, building it on first use.
@@ -442,7 +439,7 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 			plan.nWidened++
 		}
 	}
-	plan.repOf = make([]int, len(sets))
+	plan.slot = make([]int, len(sets))
 	plan.distinct = make([]int, 0, len(sets))
 	if a.Opts.DedupSets || a.persist {
 		kt := newKeyTable(a.atoms, a.persist)
@@ -456,18 +453,18 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 	if a.Opts.DedupSets {
 		byKey := make(map[string]int, len(sets))
 		for i := range sets {
-			if rep, hit := byKey[plan.keys[i]]; hit {
-				plan.repOf[i] = rep
+			if k, hit := byKey[plan.keys[i]]; hit {
+				plan.slot[i] = k
 				plan.deduped++
 			} else {
-				byKey[plan.keys[i]] = i
-				plan.repOf[i] = i
+				byKey[plan.keys[i]] = len(plan.distinct)
+				plan.slot[i] = len(plan.distinct)
 				plan.distinct = append(plan.distinct, i)
 			}
 		}
 	} else {
 		for i := range sets {
-			plan.repOf[i] = i
+			plan.slot[i] = i
 			plan.distinct = append(plan.distinct, i)
 		}
 	}
@@ -519,9 +516,7 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 				d.warmRows = make([]warmRow, len(a.atoms))
 			}
 			if !hit {
-				plan.setupLP++
-				plan.setupCold++
-				plan.setupPivots += entry.pivots
+				plan.setup.charge(&solveResult{cold: true, stats: ilp.Stats{LPSolves: 1, Pivots: entry.pivots}})
 			}
 		}
 		effDeadline, effBudget := a.effAnytime()
@@ -539,12 +534,7 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 				Prefix:    d.prefix,
 			})
 			if err == nil {
-				plan.setupLP += sol.Stats.LPSolves
-				plan.setupCold++
-				plan.setupPivots += sol.Stats.Pivots
-				plan.setupNet += sol.Stats.NetworkSolves
-				plan.setupRev += sol.Stats.RevisedPivots
-				plan.setupRefactors += sol.Stats.Refactorizations
+				plan.setup.charge(&solveResult{cold: true, stats: sol.Stats})
 				if sol.Status == ilp.Optimal {
 					d.relax, d.relaxOK = sol.Objective, true
 				}
@@ -596,18 +586,13 @@ type solveResult struct {
 	values []float64
 	stats  ilp.Stats
 	// warm marks a result concluded on the warm dual-simplex path (it
-	// carries no values); cold marks that a full two-phase solve ran; dup
-	// marks a result copied from the set's canonical representative. The
-	// winner's counts are derived by finishDir whenever warm or dup is set,
-	// keeping the reported BoundReport bit-identical to the exhaustive
-	// path.
+	// carries no values); cold marks that a full two-phase solve ran.
 	warm bool
 	cold bool
-	dup  bool
 	// cacheHit marks a result answered by a persistent session's per-set
-	// outcome cache. It always rides with dup: cached outcomes carry no
-	// value vector, so a cache-hit winner re-derives counts exactly like a
-	// duplicate's.
+	// outcome cache, which keeps no value vector. finishDir derives the
+	// counts of a winner that is warm or a cache hit, keeping the reported
+	// BoundReport bit-identical to the exhaustive path.
 	cacheHit bool
 	// done marks that the job actually ran (a worker wrote this result);
 	// a zero-value slot left by an early pool shutdown must not read as an
@@ -646,7 +631,6 @@ func (a *Analyzer) solveSet(ctx context.Context, plan *solverPlan, d *direction,
 	if err := ctx.Err(); err != nil {
 		return solveResult{err: err}
 	}
-	var r solveResult
 	certOn := a.Opts.Certify
 	// Integer cycle counts make the half-open margin exact: a set is
 	// abandoned only when its optimum provably differs from the incumbent
@@ -658,16 +642,7 @@ func (a *Analyzer) solveSet(ctx context.Context, plan *solverPlan, d *direction,
 		cut += 0.5
 	}
 
-	// The full problem, shared by the cold path and the certificate layer
-	// (the warm path never materializes it on its own).
-	var p *ilp.Problem
-	problem := func() *ilp.Problem {
-		if p == nil {
-			p = plan.problem(d, set)
-		}
-		return p
-	}
-
+	var r solveResult
 	if d.warm != nil && d.warm.Ready() {
 		// NoX: only the winner's counts are reported, and finishDir derives
 		// them in a finishing solve of its own, so no per-set solve needs
@@ -676,61 +651,66 @@ func (a *Analyzer) solveSet(ctx context.Context, plan *solverPlan, d *direction,
 		var buf [16]*ilp.WarmRow
 		ws := d.warm.SolveRows(d.lowered(plan.atoms, set, buf[:0]), ilp.SetSolveOptions{
 			Cutoff: cut, UseCutoff: useCutoff, WantCert: certOn, NoX: true})
-		r.stats.Pivots += ws.Pivots
-		r.stats.SuspectPivots += ws.Suspect
-		if ws.OK {
-			r.stats.LPSolves++
-			switch ws.Status {
-			case ilp.Infeasible, ilp.Dominated:
-				r.warm = true
-				r.status = ws.Status
-				if certOn {
-					if err := a.certifyOutcome(ctx, &r, problem(), nil); err != nil {
-						return solveResult{err: err}
-					}
-				}
-				return r
-			case ilp.Optimal:
-				if ws.XIntegral {
-					r.warm = true
-					r.status = ws.Status
-					r.stats.RootIntegral = true
-					r.cycles = int64(math.Round(ws.Objective))
-					if certOn {
-						if err := a.certifyOutcome(ctx, &r, problem(), ws.Cert); err != nil {
-							return solveResult{err: err}
-						}
-					}
-					return r
-				}
-				// Fractional warm root: branch and bound needs the cold
-				// path. Rare in this domain (network-matrix structure).
+		r = warmResult(&ws)
+		if ws.OK && (ws.Status == ilp.Infeasible || ws.Status == ilp.Dominated ||
+			ws.Status == ilp.Optimal && ws.XIntegral) {
+			r.warm = true
+			r.status = ws.Status
+			if ws.Status == ilp.Optimal {
+				r.stats.RootIntegral = true
+				r.cycles = int64(math.Round(ws.Objective))
 			}
+			if certOn {
+				if err := a.certifyOutcome(ctx, &r, plan.problem(d, set), ws.Cert); err != nil {
+					return solveResult{err: err}
+				}
+			}
+			return r
 		}
+		// Otherwise the warm path gave up, or its root is fractional and
+		// needs branch and bound; both are rare in this domain
+		// (network-matrix structure) and go to the cold path.
 	}
-
-	sol, err := ilp.SolveCtxOpts(ctx, problem(), ilp.SolveOptions{Cutoff: cut, UseCutoff: useCutoff, WantCert: certOn})
-	if err != nil {
+	if err := a.coldSolve(ctx, &r, plan.problem(d, set), ilp.SolveOptions{
+		Cutoff: cut, UseCutoff: useCutoff, WantCert: certOn}); err != nil {
 		return solveResult{err: err}
 	}
+	return r
+}
+
+// warmResult starts the result of one warm solve with its work: its pivots,
+// plus one LP solve unless the warm path gave up.
+func warmResult(ws *ilp.SetSolution) solveResult {
+	r := solveResult{stats: ilp.Stats{Pivots: ws.Pivots, SuspectPivots: ws.Suspect}}
+	if ws.OK {
+		r.stats.LPSolves = 1
+	}
+	return r
+}
+
+// coldSolve solves p from scratch into r — two-phase simplex, with branch
+// and bound on a fractional root — and, under Options.Certify, backs the
+// claim with certifyOutcome. It is the one cold path: the per-set fan-out
+// and the winners' canonical re-solve both run it. A warm attempt that gave
+// up has left its work in r; the cold solve's work adds to it.
+func (a *Analyzer) coldSolve(ctx context.Context, r *solveResult, p *ilp.Problem, opts ilp.SolveOptions) error {
+	sol, err := ilp.SolveCtxOpts(ctx, p, opts)
+	if err != nil {
+		return err
+	}
+	tried := r.stats
+	r.stats = sol.Stats
+	r.stats.LPSolves += tried.LPSolves
+	r.stats.Pivots += tried.Pivots
+	r.stats.SuspectPivots += tried.SuspectPivots
 	r.cold = true
 	r.status = sol.Status
 	r.cycles = int64(math.Round(sol.Objective))
 	r.values = sol.Values
-	r.stats.LPSolves += sol.Stats.LPSolves
-	r.stats.Branches += sol.Stats.Branches
-	r.stats.Pivots += sol.Stats.Pivots
-	r.stats.SuspectPivots += sol.Stats.SuspectPivots
-	r.stats.NetworkSolves += sol.Stats.NetworkSolves
-	r.stats.RevisedPivots += sol.Stats.RevisedPivots
-	r.stats.Refactorizations += sol.Stats.Refactorizations
-	r.stats.RootIntegral = sol.Stats.RootIntegral
-	if certOn {
-		if err := a.certifyOutcome(ctx, &r, problem(), sol.Cert); err != nil {
-			return solveResult{err: err}
-		}
+	if !a.Opts.Certify {
+		return nil
 	}
-	return r
+	return a.certifyOutcome(ctx, r, p, sol.Cert)
 }
 
 // certifyOutcome backs one per-set claim with an exact rational check, per
@@ -803,11 +783,14 @@ func ratFloats(x []*big.Rat) []float64 {
 	return out
 }
 
-// reduceDir folds one direction's per-set results in set order — the same
-// tie-break as the sequential loop (a later set wins only when strictly
-// better), so the outcome is independent of job completion order. Dominated
-// results are skipped: they are provably strictly worse than the incumbent
-// that pruned them, so they can neither win nor tie.
+// reduceDir folds one direction's results over the sets in set order — the
+// same tie-break as the sequential loop (a later set wins only when
+// strictly better), so the outcome is independent of job completion order.
+// results holds the direction's distinct results; each set reads its
+// representative's, so a duplicate ties the earlier representative and
+// never wins. Dominated results are skipped: they are provably strictly
+// worse than the incumbent that pruned them, so they can neither win nor
+// tie.
 //
 // Unsolved results (deadline, budget, crash) degrade the direction to its
 // relaxation envelope: the base LP optimum dominates every per-set
@@ -825,8 +808,8 @@ func (a *Analyzer) reduceDir(est *Estimate, d *direction, plan *solverPlan, resu
 	unsolved := 0
 	haveExact := false
 	var exactInc int64
-	for si := range results {
-		r := &results[si]
+	for si, k := range plan.slot {
+		r := &results[k]
 		if r.unsolved {
 			degraded = true
 			unsolved++
@@ -924,16 +907,15 @@ func (a *Analyzer) reduceDir(est *Estimate, d *direction, plan *solverPlan, resu
 
 // finishDir fills the winning BoundReport's counts. A winner solved cold
 // carries the counts the exhaustive path reports. A winner answered by the
-// warm path, copied from a canonical duplicate, or served from a session's
-// outcome cache carries none that can stand as they are (the warm fan-out
-// skips the assignment, a duplicate's values follow another row order, a
-// cached outcome has none), so the winning set's warm solve is re-run with
-// its assignment and a uniqueness test: a unique optimum is the one count
-// vector every solver returns. Only a winner whose optimum is not unique,
-// or cannot be verified, pays a plain cold re-solve, which re-derives the
-// exhaustive path's counts. Prepared sessions retain every winner's count
-// vector, keyed order-sensitively by the winning set's own rows, so a
-// repeat scenario skips the finish and still reports identical counts.
+// warm path or served from a session's outcome cache carries none (the
+// warm fan-out skips the assignment, a cached outcome has none), so the
+// winning set's warm solve is re-run with its assignment and a uniqueness
+// test: a unique optimum is the one count vector every solver returns.
+// Only a winner whose optimum is not unique, or cannot be verified, pays a
+// plain cold re-solve, which re-derives the exhaustive path's counts.
+// Prepared sessions retain every winner's count vector, keyed
+// order-sensitively by the winning set's own rows, so a repeat scenario
+// skips the finish and still reports identical counts.
 func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *solverPlan, best *BoundReport, win *solveResult) error {
 	d := &plan.dirs[di]
 	set := plan.sets[best.SetIndex]
@@ -942,7 +924,7 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 		key = plan.finishKey(d, set)
 	}
 	vals := win.values
-	if win.warm || win.dup {
+	if win.warm || win.cacheHit {
 		if a.persist {
 			if cached, ok := a.finishCache.Get(key); ok {
 				best.Counts = a.aggregateCounts(cached)
@@ -979,14 +961,11 @@ func (a *Analyzer) warmFinish(est *Estimate, plan *solverPlan, d *direction, set
 	var buf [16]*ilp.WarmRow
 	ws := d.warm.SolveRows(d.lowered(plan.atoms, set, buf[:0]),
 		ilp.SetSolveOptions{WantCert: a.Opts.Certify})
-	est.Stats.Pivots += ws.Pivots
-	est.Stats.SuspectPivots += ws.Suspect
-	if !ws.OK {
-		return nil, false
-	}
-	est.LPSolves++
-	est.Stats.WarmSolves++
-	if ws.Status != ilp.Optimal || !ws.Unique || !ws.XIntegral || int64(math.Round(ws.Objective)) != cycles {
+	r := warmResult(&ws)
+	r.warm = ws.OK
+	defer est.charge(&r)
+	if !ws.OK || ws.Status != ilp.Optimal || !ws.Unique || !ws.XIntegral ||
+		int64(math.Round(ws.Objective)) != cycles {
 		return nil, false
 	}
 	if !a.Opts.Certify {
@@ -1000,7 +979,7 @@ func (a *Analyzer) warmFinish(est *Estimate, plan *solverPlan, d *direction, set
 			return ws.X, true
 		}
 	}
-	est.Stats.CertFailures++
+	r.certFailures = 1
 	return nil, false
 }
 
@@ -1020,68 +999,43 @@ func sameCounts(exact []*big.Rat, x []float64) bool {
 }
 
 // coldFinish re-solves the winning set cold from scratch and returns the
-// canonical counts the exhaustive path reports.
+// canonical counts the exhaustive path reports. The re-solve is the
+// fan-out's own cold path (coldSolve, exactly backed under Certify), so it
+// only has to reproduce the winning bound.
 func (a *Analyzer) coldFinish(ctx context.Context, est *Estimate, p *ilp.Problem, best *BoundReport) ([]float64, error) {
-	sol, err := ilp.SolveCtxOpts(ctx, p, ilp.SolveOptions{WantCert: a.Opts.Certify})
-	if err != nil {
+	var r solveResult
+	if err := a.coldSolve(ctx, &r, p, ilp.SolveOptions{WantCert: a.Opts.Certify}); err != nil {
 		return nil, err
 	}
-	est.LPSolves += sol.Stats.LPSolves
-	est.Branches += sol.Stats.Branches
-	est.Stats.Pivots += sol.Stats.Pivots
-	est.Stats.SuspectPivots += sol.Stats.SuspectPivots
-	est.Stats.NetworkSolves += sol.Stats.NetworkSolves
-	est.Stats.RevisedPivots += sol.Stats.RevisedPivots
-	est.Stats.Refactorizations += sol.Stats.Refactorizations
-	est.Stats.ColdSolves++
-	vals := sol.Values
-	ok := sol.Status == ilp.Optimal && int64(math.Round(sol.Objective)) == best.Cycles
-	if a.Opts.Certify {
-		// The canonical count re-solve is a fresh float64 claim and is backed
-		// like any other: a clean, verified certificate proving the winner's
-		// cycle count lets the float counts stand; anything else — including
-		// a re-solve that contradicts the (already certified) winning bound —
-		// falls back to the exact solver, whose optimum must agree.
-		certOK := false
-		suspect := sol.Stats.SuspectPivots > 0
-		if ok && sol.Cert != nil && !suspect {
-			if res, verr := certify.Verify(p, sol.Cert); verr == nil {
-				if ex, exOK := ratInt64(res.Objective); exOK && ex == best.Cycles {
-					certOK = true
-				}
-			}
-			if !certOK {
-				est.Stats.CertFailures++
-			}
-		}
-		if !certOK {
-			est.Stats.ExactResolves++
-			// Rejected: a claim other than the certified bound (with a
-			// certificate or not), or a right claim whose certificate failed.
-			est.Stats.Resolves.note(sol.Status, suspect, !ok || sol.Cert != nil)
-			exr, err := certify.SolveExact(ctx, p)
-			if err != nil {
-				return nil, err
-			}
-			est.LPSolves += exr.LPSolves
-			var ex int64
-			exOK := false
-			if exr.Status == ilp.Optimal {
-				ex, exOK = ratInt64(exr.Objective)
-			}
-			if !exOK || ex != best.Cycles {
-				return nil, fmt.Errorf("ipet: internal error: exact canonical re-solve of set %d returned %v, want %d cycles",
-					best.SetIndex+1, exr.Status, best.Cycles)
-			}
-			vals = ratFloats(exr.X)
-			ok = true
-		}
+	est.charge(&r)
+	if r.status != ilp.Optimal || r.cycles != best.Cycles {
+		return nil, fmt.Errorf("ipet: internal error: canonical re-solve of set %d returned %v at %d cycles, want %d cycles",
+			best.SetIndex+1, r.status, r.cycles, best.Cycles)
 	}
-	if !ok {
-		return nil, fmt.Errorf("ipet: internal error: canonical re-solve of set %d returned %v %g, want %d cycles",
-			best.SetIndex+1, sol.Status, sol.Objective, best.Cycles)
+	return r.values, nil
+}
+
+// charge adds one claim's work to the estimate's counters: the ilp work of
+// every solve behind it, the path that concluded it, and the certificate
+// layer's checks. Every solve an estimate runs is counted through here: the
+// plan's base solves, the per-set jobs and the winners' finishing solves.
+func (est *Estimate) charge(r *solveResult) {
+	est.LPSolves += r.stats.LPSolves
+	est.Branches += r.stats.Branches
+	est.Stats.Pivots += r.stats.Pivots
+	est.Stats.SuspectPivots += r.stats.SuspectPivots
+	est.Stats.NetworkSolves += r.stats.NetworkSolves
+	est.Stats.RevisedPivots += r.stats.RevisedPivots
+	est.Stats.Refactorizations += r.stats.Refactorizations
+	est.Stats.CertFailures += r.certFailures
+	est.Stats.ExactResolves += r.resolves.total()
+	est.Stats.Resolves.add(r.resolves)
+	if r.warm {
+		est.Stats.WarmSolves++
 	}
-	return vals, nil
+	if r.cold {
+		est.Stats.ColdSolves++
+	}
 }
 
 // incumbent tracking: one atomic best bound per direction, initialized to
@@ -1117,192 +1071,129 @@ func (a *Analyzer) Estimate() (*Estimate, error) {
 	return a.EstimateContext(context.Background())
 }
 
-// EstimateContext is Estimate with cancellation. Distinct sets × {max,min}
-// ILP jobs are dispatched to a bounded worker pool of Opts.Workers
-// goroutines (0 selects GOMAXPROCS, 1 runs the plain sequential loop);
-// results are reduced in deterministic set order regardless of completion
-// order, so every worker count produces the identical bound report. The
-// first error cancels all in-flight jobs.
+// EstimateContext is Estimate with cancellation. It runs the analysis as a
+// sequence of stages: expand the annotations into conjunctive sets and plan
+// their solves (solverSetup), solve each distinct set in both directions
+// on up to Opts.Workers goroutines (solveSets; 0 selects GOMAXPROCS, 1 runs
+// the jobs inline), charge their work (chargeJobs), reduce each direction
+// (reduce), certify the reports (certifyReports), and finish the winners'
+// counts (finishDir). The reduce walks sets in set order whatever the
+// completion order, so every worker count produces the identical bound
+// report. The first error cancels all in-flight jobs.
 func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 	tBuild := time.Now()
 	plan, fresh, err := a.solverSetup()
 	if err != nil {
 		return nil, err
 	}
-	est := &Estimate{
-		NumSets:         plan.total,
-		PrunedSets:      plan.pruned,
-		SolvedSets:      len(plan.sets),
-		AllRootIntegral: true,
-	}
-	est.Stats.SetsTotal = plan.total
-	est.Stats.PrunedNull = plan.pruned
-	est.Stats.Deduped = plan.deduped
-	est.Stats.SetsWidened = plan.nWidened
-	if fresh {
-		est.LPSolves += plan.setupLP
-		est.Stats.ColdSolves += plan.setupCold
-		est.Stats.Pivots += plan.setupPivots
-		est.Stats.NetworkSolves += plan.setupNet
-		est.Stats.RevisedPivots += plan.setupRev
-		est.Stats.Refactorizations += plan.setupRefactors
-	}
 	if len(plan.sets) == 0 {
 		return nil, &InfeasibleError{Sets: plan.total, AllNull: true}
 	}
+	est := plan.newEstimate(fresh)
 	est.Stats.BuildTime = time.Since(tBuild)
 
 	tSolve := time.Now()
-	dirs := plan.dirs
-	nd := len(plan.distinct)
-	numJobs := len(dirs) * nd
-	results := make([]solveResult, numJobs)
-	incumbents := make([]atomic.Int64, len(dirs))
-	for d := range dirs {
-		incumbents[d].Store(incumbentInit(dirs[d].sense))
+	results, err := a.solveSets(ctx, est, plan, tBuild)
+	if err != nil {
+		return nil, err
 	}
-	// Anytime budgets. The pivot budget is a shared monotone counter
-	// seeded with the plan's setup pivots, checked before each job
-	// launches; the wall-clock deadline additionally cancels in-flight
-	// solves through an internal derived context, which keeps the caller's
-	// own ctx distinguishable: caller cancellation is an error, analyzer
-	// deadline expiry degrades to the envelope.
+	est.chargeJobs(results)
+	reps, wins, err := a.reduce(est, plan, results)
+	if err != nil {
+		return nil, err
+	}
+	if a.Opts.Certify {
+		certifyReports(reps, results)
+	}
+	for di, win := range wins {
+		if win == nil {
+			continue
+		}
+		if err := a.finishDir(ctx, est, di, plan, reps[di], win); err != nil {
+			return nil, err
+		}
+	}
+	est.Stats.SolveTime = time.Since(tSolve)
+	est.WCET, est.BCET = *reps[0], *reps[1]
+	if est.BCET.Cycles > est.WCET.Cycles {
+		return nil, fmt.Errorf("ipet: internal error: BCET %d exceeds WCET %d", est.BCET.Cycles, est.WCET.Cycles)
+	}
+	a.noteEstimate(est)
+	return est, nil
+}
+
+// newEstimate starts one Estimate call on the plan: the set counters, on
+// top of the plan's setup work when this call built the plan.
+func (p *solverPlan) newEstimate(fresh bool) *Estimate {
+	est := &Estimate{}
+	if fresh {
+		*est = p.setup
+	}
+	est.NumSets = p.total
+	est.PrunedSets = p.pruned
+	est.SolvedSets = len(p.sets)
+	est.AllRootIntegral = true
+	est.Stats.SetsTotal = p.total
+	est.Stats.PrunedNull = p.pruned
+	est.Stats.Deduped = p.deduped
+	est.Stats.SetsWidened = p.nWidened
+	return est
+}
+
+// fanout is the state one estimate's per-set solve jobs share: the
+// incumbents that prune them, and the anytime budget and deadline that stop
+// them. The pivot budget is a monotone counter seeded with the plan's setup
+// pivots and checked before each job launches.
+type fanout struct {
+	a           *Analyzer
+	plan        *solverPlan
+	incumbents  []atomic.Int64
+	budget      int64
+	spent       atomic.Int64
+	deadline    time.Time // zero without Options.Deadline
+	hitDeadline atomic.Bool
+}
+
+// expired reports whether the pivot budget or the deadline has run out; a
+// deadline expiry is also recorded for Stats.DeadlineHit.
+func (f *fanout) expired() bool {
+	if f.budget > 0 && f.spent.Load() >= f.budget {
+		return true
+	}
+	if !f.deadline.IsZero() && !time.Now().Before(f.deadline) {
+		f.hitDeadline.Store(true)
+		return true
+	}
+	return false
+}
+
+// solveSets runs every (direction, distinct set) job on the worker pool and
+// returns the results in job order: job d*len(plan.distinct)+k solves
+// distinct set k in direction d. The analyzer's own deadline cancels
+// in-flight solves through an internal derived context, which keeps the
+// caller's ctx distinguishable: caller cancellation is an error, analyzer
+// deadline expiry degrades the unfinished jobs to the envelope.
+func (a *Analyzer) solveSets(ctx context.Context, est *Estimate, plan *solverPlan, start time.Time) ([]solveResult, error) {
+	f := &fanout{a: a, plan: plan, incumbents: make([]atomic.Int64, len(plan.dirs))}
+	for d := range plan.dirs {
+		f.incumbents[d].Store(incumbentInit(plan.dirs[d].sense))
+	}
 	effDeadline, effBudget := a.effAnytime()
-	budget := int64(effBudget)
-	var spent atomic.Int64
-	spent.Store(int64(plan.setupPivots))
-	var hitDeadline atomic.Bool
-	var deadlineAt time.Time
+	f.budget = int64(effBudget)
+	f.spent.Store(int64(plan.setup.Stats.Pivots))
 	jobCtx := ctx
 	if effDeadline > 0 {
-		deadlineAt = tBuild.Add(effDeadline)
+		f.deadline = start.Add(effDeadline)
 		var cancelDeadline context.CancelFunc
-		jobCtx, cancelDeadline = context.WithDeadline(ctx, deadlineAt)
+		jobCtx, cancelDeadline = context.WithDeadline(ctx, f.deadline)
 		defer cancelDeadline()
 	}
-	expired := func() bool {
-		if budget > 0 && spent.Load() >= budget {
-			return true
-		}
-		if !deadlineAt.IsZero() && !time.Now().Before(deadlineAt) {
-			hitDeadline.Store(true)
-			return true
-		}
-		return false
-	}
-
-	runJob := func(jctx context.Context, j int) (r solveResult) {
-		// A panicking set solve must degrade the set, not kill the
-		// estimate: the recovered set joins the relaxation envelope like a
-		// budget-expired one, and the panic text is preserved for the case
-		// where no envelope exists to absorb it.
-		defer func() {
-			if p := recover(); p != nil {
-				r = solveResult{done: true, unsolved: true, crashed: true,
-					crashMsg: fmt.Sprint(p)}
-			}
-		}()
-		if expired() {
-			return solveResult{done: true, unsolved: true}
-		}
-		if tc := testCrashJob.Load(); tc != 0 && int(tc-1) == j {
-			panic(fmt.Sprintf("ipet: test-injected crash in job %d", j))
-		}
-		d, k := j/nd, j%nd
-		dir := &dirs[d]
-		si := plan.distinct[k]
-		var key string
-		if a.persist {
-			// A prior Estimate on this session may have solved this exact
-			// (direction, loop rows, set region) already; its outcome is
-			// cutoff-independent and transfers without any simplex work.
-			// A certifying run only accepts hits that were certified when
-			// produced; an uncertified cached claim falls through to a fresh
-			// (certified) solve.
-			key = dir.keyPrefix + plan.keys[si]
-			if v, ok := a.solveCache.Get(key); ok && (!a.Opts.Certify || v.certified) {
-				r = solveResult{done: true, dup: true, cacheHit: true, status: v.status, cycles: v.cycles, certified: v.certified}
-				r.stats.RootIntegral = v.rootIntegral
-				if v.status == ilp.Optimal {
-					incumbentOffer(&incumbents[d], dir.sense, v.cycles)
-				}
-				return r
-			}
-		}
-		var cutoff int64
-		useCutoff := false
-		// Certify disables incumbent pruning: a Dominated claim carries no
-		// certificate and cannot be checked, and exact-resolving every pruned
-		// set would cost more than the pruning saves. Bounds are unaffected.
-		if a.Opts.IncumbentPrune && !a.Opts.Certify {
-			cutoff, useCutoff = incumbentLoad(&incumbents[d], dir.sense)
-		}
-		r = a.solveSet(jctx, plan, dir, plan.sets[si], cutoff, useCutoff)
-		r.done = true
-		spent.Add(int64(r.stats.Pivots))
-		if r.err == nil && r.status == ilp.Optimal {
-			incumbentOffer(&incumbents[d], dir.sense, r.cycles)
-		}
-		// Only conclusive, cutoff-independent outcomes persist: an optimal
-		// cycle count or proven infeasibility. Dominated depends on the
-		// incumbent of this run; abandoned jobs prove nothing.
-		// A suspect uncertified outcome is additionally barred from the cache:
-		// its ill-conditioning signal would be invisible to a later certifying
-		// run that trusted the cached value.
-		if a.persist && r.err == nil && !r.unsolved &&
-			(r.status == ilp.Optimal || r.status == ilp.Infeasible) &&
-			(r.stats.SuspectPivots == 0 || r.certified) {
-			a.solveCache.Put(key, cachedSolve{
-				status:       r.status,
-				cycles:       r.cycles,
-				rootIntegral: r.stats.RootIntegral,
-				certified:    r.certified,
-			})
-		}
-		return r
-	}
-
-	workers := a.Opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numJobs {
-		workers = numJobs
-	}
-	if workers <= 1 {
-		// Sequential path: identical to the pre-pool analyzer, stopping at
-		// the first error.
-		for j := 0; j < numJobs; j++ {
-			results[j] = runJob(jobCtx, j)
-			if results[j].err != nil {
-				break
-			}
-		}
-	} else {
-		jctx, cancel := context.WithCancel(jobCtx)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(next.Add(1) - 1)
-					if j >= numJobs || jctx.Err() != nil {
-						return
-					}
-					r := runJob(jctx, j)
-					results[j] = r
-					if r.err != nil {
-						cancel()
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		cancel()
-	}
+	results := make([]solveResult, len(plan.dirs)*len(plan.distinct))
+	// Each job keeps its own error; they are triaged below in job order.
+	parallelFor(jobCtx, len(results), a.Opts.Workers, func(jctx context.Context, j int) error {
+		results[j] = f.run(jctx, j)
+		return results[j].err
+	})
 
 	// Propagate the first real failure in job order. Jobs the analyzer's
 	// own deadline interrupted — directly (DeadlineExceeded) or through
@@ -1327,7 +1218,7 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 			(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
 			r.err = nil
 			r.unsolved = true
-			hitDeadline.Store(true)
+			f.hitDeadline.Store(true)
 			continue
 		}
 		if errors.Is(err, context.Canceled) {
@@ -1341,41 +1232,105 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 	// A deadline that expired before the pool dispatched anything leaves
 	// no per-job trace; the derived context still records it.
 	if effDeadline > 0 && errors.Is(jobCtx.Err(), context.DeadlineExceeded) {
-		hitDeadline.Store(true)
+		f.hitDeadline.Store(true)
 	}
-	est.Stats.DeadlineHit = hitDeadline.Load()
+	est.Stats.DeadlineHit = f.hitDeadline.Load()
+	return results, nil
+}
 
-	// Work statistics accumulate once per distinct job, in job order, so
-	// duplicate fan-out below cannot double-count a representative.
+// run executes job j: a session cache hit when one applies, otherwise a
+// solve under the direction's incumbent cutoff.
+func (f *fanout) run(ctx context.Context, j int) (r solveResult) {
+	// A panicking set solve must degrade the set, not kill the estimate:
+	// the recovered set joins the relaxation envelope like a budget-expired
+	// one, and the panic text is preserved for the case where no envelope
+	// exists to absorb it.
+	defer func() {
+		if p := recover(); p != nil {
+			r = solveResult{done: true, unsolved: true, crashed: true,
+				crashMsg: fmt.Sprint(p)}
+		}
+	}()
+	if f.expired() {
+		return solveResult{done: true, unsolved: true}
+	}
+	if tc := testCrashJob.Load(); tc != 0 && int(tc-1) == j {
+		panic(fmt.Sprintf("ipet: test-injected crash in job %d", j))
+	}
+	a, plan := f.a, f.plan
+	nd := len(plan.distinct)
+	d, k := j/nd, j%nd
+	dir := &plan.dirs[d]
+	si := plan.distinct[k]
+	var key string
+	if a.persist {
+		// A prior Estimate on this session may have solved this exact
+		// (direction, loop rows, set region) already; its outcome is
+		// cutoff-independent and transfers without any simplex work.
+		// A certifying run only accepts hits that were certified when
+		// produced; an uncertified cached claim falls through to a fresh
+		// (certified) solve.
+		key = dir.keyPrefix + plan.keys[si]
+		if v, ok := a.solveCache.Get(key); ok && (!a.Opts.Certify || v.certified) {
+			r = solveResult{done: true, cacheHit: true, status: v.status, cycles: v.cycles, certified: v.certified}
+			r.stats.RootIntegral = v.rootIntegral
+			if v.status == ilp.Optimal {
+				incumbentOffer(&f.incumbents[d], dir.sense, v.cycles)
+			}
+			return r
+		}
+	}
+	var cutoff int64
+	useCutoff := false
+	// Certify disables incumbent pruning: a Dominated claim carries no
+	// certificate and cannot be checked, and exact-resolving every pruned
+	// set would cost more than the pruning saves. Bounds are unaffected.
+	if a.Opts.IncumbentPrune && !a.Opts.Certify {
+		cutoff, useCutoff = incumbentLoad(&f.incumbents[d], dir.sense)
+	}
+	r = a.solveSet(ctx, plan, dir, plan.sets[si], cutoff, useCutoff)
+	r.done = true
+	f.spent.Add(int64(r.stats.Pivots))
+	if r.err == nil && r.status == ilp.Optimal {
+		incumbentOffer(&f.incumbents[d], dir.sense, r.cycles)
+	}
+	// Only conclusive, cutoff-independent outcomes persist: an optimal
+	// cycle count or proven infeasibility. Dominated depends on the
+	// incumbent of this run; abandoned jobs prove nothing.
+	// A suspect uncertified outcome is additionally barred from the cache:
+	// its ill-conditioning signal would be invisible to a later certifying
+	// run that trusted the cached value.
+	if a.persist && r.err == nil && !r.unsolved &&
+		(r.status == ilp.Optimal || r.status == ilp.Infeasible) &&
+		(r.stats.SuspectPivots == 0 || r.certified) {
+		a.solveCache.Put(key, cachedSolve{
+			status:       r.status,
+			cycles:       r.cycles,
+			rootIntegral: r.stats.RootIntegral,
+			certified:    r.certified,
+		})
+	}
+	return r
+}
+
+// chargeJobs charges the fan-out's work to the estimate once per distinct
+// job, in job order, and tallies how each job ended. Duplicate sets share
+// their representative's job and are not charged again.
+func (est *Estimate) chargeJobs(results []solveResult) {
 	for j := range results {
 		r := &results[j]
-		if r.unsolved {
+		switch {
+		case r.unsolved:
 			est.Stats.SetsUnsolved++
 			if r.crashed {
 				est.Stats.SetsWidened++
 			}
 			continue
-		}
-		if r.cacheHit {
+		case r.cacheHit:
 			est.Stats.CacheHits++
 			continue
 		}
-		est.LPSolves += r.stats.LPSolves
-		est.Branches += r.stats.Branches
-		est.Stats.Pivots += r.stats.Pivots
-		est.Stats.SuspectPivots += r.stats.SuspectPivots
-		est.Stats.NetworkSolves += r.stats.NetworkSolves
-		est.Stats.RevisedPivots += r.stats.RevisedPivots
-		est.Stats.Refactorizations += r.stats.Refactorizations
-		est.Stats.CertFailures += r.certFailures
-		est.Stats.ExactResolves += r.resolves.total()
-		est.Stats.Resolves.add(r.resolves)
-		if r.warm {
-			est.Stats.WarmSolves++
-		}
-		if r.cold {
-			est.Stats.ColdSolves++
-		}
+		est.charge(r)
 		switch r.status {
 		case ilp.Dominated:
 			est.Stats.IncumbentSkipped++
@@ -1383,70 +1338,43 @@ func (a *Analyzer) EstimateContext(ctx context.Context) (*Estimate, error) {
 			est.Stats.Solved++
 		}
 	}
+}
 
-	// Fan distinct results back out to the full per-set arrays the reduce
-	// walks, marking copies so a duplicate winner gets canonical counts.
-	nSets := len(plan.sets)
-	full := make([]solveResult, len(dirs)*nSets)
-	for d := range dirs {
-		for k, si := range plan.distinct {
-			full[d*nSets+si] = results[d*nd+k]
+// reduce reduces each direction (reduceDir) to its report and its winning
+// result (nil for an envelope).
+func (a *Analyzer) reduce(est *Estimate, plan *solverPlan, results []solveResult) ([]*BoundReport, []*solveResult, error) {
+	nd := len(plan.distinct)
+	reps := make([]*BoundReport, len(plan.dirs))
+	wins := make([]*solveResult, len(plan.dirs))
+	for d := range plan.dirs {
+		var err error
+		if reps[d], wins[d], err = a.reduceDir(est, &plan.dirs[d], plan, results[d*nd:(d+1)*nd]); err != nil {
+			return nil, nil, err
 		}
-		for i := 0; i < nSets; i++ {
-			if rep := plan.repOf[i]; rep != i {
-				cp := full[d*nSets+rep]
-				cp.dup = true
-				full[d*nSets+i] = cp
+	}
+	return reps, wins, nil
+}
+
+// certifyReports is the report half of Options.Certify (each per-set claim
+// was already backed by certifyOutcome): a direction's bound is Certified
+// when every distinct claim it reduced over was backed by the exact layer,
+// and RecheckedSets counts the claims that needed an exact re-solve.
+// Envelope reports (SetIndex < 0) reduce over unsolved sets and never
+// qualify.
+func certifyReports(reps []*BoundReport, results []solveResult) {
+	nd := len(results) / len(reps)
+	for d, rep := range reps {
+		rep.Certified = rep.SetIndex >= 0
+		for j := d * nd; j < (d+1)*nd; j++ {
+			r := &results[j]
+			if r.resolves.total() > 0 {
+				rep.RecheckedSets++
+			}
+			if !r.done || r.unsolved || !r.certified {
+				rep.Certified = false
 			}
 		}
 	}
-
-	worst, worstRes, err := a.reduceDir(est, &dirs[0], plan, full[:nSets])
-	if err != nil {
-		return nil, err
-	}
-	bcet, bcetRes, err := a.reduceDir(est, &dirs[1], plan, full[nSets:])
-	if err != nil {
-		return nil, err
-	}
-	if a.Opts.Certify {
-		// A direction's bound is Certified when every distinct claim it
-		// reduced over was backed by the exact layer; envelope reports
-		// (SetIndex < 0) reduce over unsolved sets and never qualify.
-		for d, rep := range []*BoundReport{worst, bcet} {
-			allCert := rep.SetIndex >= 0
-			rechecked := 0
-			for k := 0; k < nd; k++ {
-				r := &results[d*nd+k]
-				if r.resolves.total() > 0 {
-					rechecked++
-				}
-				if !r.done || r.unsolved || !r.certified {
-					allCert = false
-				}
-			}
-			rep.Certified = allCert
-			rep.RecheckedSets = rechecked
-		}
-	}
-	if worstRes != nil {
-		if err := a.finishDir(ctx, est, 0, plan, worst, worstRes); err != nil {
-			return nil, err
-		}
-	}
-	if bcetRes != nil {
-		if err := a.finishDir(ctx, est, 1, plan, bcet, bcetRes); err != nil {
-			return nil, err
-		}
-	}
-	est.Stats.SolveTime = time.Since(tSolve)
-	est.WCET = *worst
-	est.BCET = *bcet
-	if est.BCET.Cycles > est.WCET.Cycles {
-		return nil, fmt.Errorf("ipet: internal error: BCET %d exceeds WCET %d", est.BCET.Cycles, est.WCET.Cycles)
-	}
-	a.noteEstimate(est)
-	return est, nil
 }
 
 // aggregateCounts sums per-context block counts into per-function counts.
@@ -1478,38 +1406,4 @@ func (a *Session) BlockCosts(fn string) []march.BlockCost {
 		return march.CostsOf(fc, a.Opts.March)
 	}
 	return nil
-}
-
-// StructuralNetworkMatrix reports whether the intraprocedural structural
-// constraints (the flow equations of Section III.B, per function instance)
-// form a recognizable network (totally unimodular) matrix — the Section
-// III.D explanation for why "the branch-and-bound ILP solver finds that the
-// solution of the very first linear program call ... is integer valued".
-//
-// The interprocedural splice rows (d_entry(callee) = f_site, eq. 12) give
-// call-edge columns a third entry and fall outside the two-nonzero
-// sufficient test; integrality across the splice is the paper's empirical
-// observation, which Stats.RootIntegral tracks on every solve.
-func (a *Session) StructuralNetworkMatrix() bool {
-	var rows []ilp.Constraint
-	for _, ctx := range a.contexts {
-		fc := a.Prog.Funcs[ctx.Func]
-		for _, b := range fc.Blocks {
-			inC := ilp.Constraint{Coeffs: map[int]float64{a.blockVar(ctx.ID, b.Index): 1}, Rel: ilp.EQ}
-			for _, e := range b.In {
-				inC.Coeffs[a.edgeVar(ctx.ID, e)] -= 1
-			}
-			outC := ilp.Constraint{Coeffs: map[int]float64{a.blockVar(ctx.ID, b.Index): 1}, Rel: ilp.EQ}
-			for _, e := range b.Out {
-				outC.Coeffs[a.edgeVar(ctx.ID, e)] -= 1
-			}
-			rows = append(rows, inC, outC)
-		}
-	}
-	rootFC := a.Prog.Funcs[a.Root]
-	rows = append(rows, ilp.Constraint{
-		Coeffs: map[int]float64{a.edgeVar(0, rootFC.EntryEdge): 1}, Rel: ilp.EQ, RHS: 1,
-	})
-	p := &ilp.Problem{NumVars: a.nVars, Constraints: rows}
-	return ilp.IsNetworkMatrix(p)
 }

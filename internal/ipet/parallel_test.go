@@ -2,9 +2,11 @@ package ipet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cinderella/internal/asm"
@@ -222,6 +224,41 @@ func TestPivotReduction(t *testing.T) {
 	t.Logf("pivots: cold %d, incremental %d (%.1fx)",
 		cold.Stats.Pivots, fast.Stats.Pivots,
 		float64(cold.Stats.Pivots)/float64(fast.Stats.Pivots))
+}
+
+// TestParallelFor pins the pool's stop rules at one and at four workers:
+// the result is the lowest failing index's error, every lower index has
+// run, and a done context starts no iteration at all.
+func TestParallelFor(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		ran := make([]atomic.Bool, 100)
+		err := parallelFor(context.Background(), len(ran), workers, func(_ context.Context, i int) error {
+			ran[i].Store(true)
+			if i == 30 || i == 70 {
+				return fmt.Errorf("fail %d", i)
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "fail 30" {
+			t.Fatalf("workers=%d: error %v, want fail 30", workers, err)
+		}
+		for i := 0; i < 30; i++ {
+			if !ran[i].Load() {
+				t.Fatalf("workers=%d: index %d below the failure never ran", workers, i)
+			}
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		calls := 0
+		err = parallelFor(ctx, 10, workers, func(context.Context, int) error {
+			calls++
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) || calls != 0 {
+			t.Fatalf("workers=%d: cancelled context gave %v after %d calls", workers, err, calls)
+		}
+	}
 }
 
 // TestSolveSetCancelled: solveSet must notice a dead context before paying

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"cinderella/internal/cfg"
 	"cinderella/internal/constraint"
 	"cinderella/internal/ilp"
 	"cinderella/internal/ilp/certify"
@@ -538,96 +539,49 @@ func checkBoundDomains(file *constraint.File, specs []ParamSpec, symIdx map[stri
 // outer symbolic bound un-pins the inner entry count) fail the pin check
 // and are rejected.
 func (a *Analyzer) paramLoopRows(structural []ilp.Constraint, specs []ParamSpec, symIdx map[string]int) ([]ilp.Constraint, [][]int64, error) {
-	if a.annots == nil {
-		return nil, nil, nil
+	// Each bound contributes its upper and lower row. The pin system is the
+	// structural rows plus every row with a concrete end; the symbolic
+	// bounds are pinned once it is complete.
+	type symbolicBound struct {
+		ctx  *Context
+		loop *cfg.Loop
+		lb   constraint.LoopBound
+		row  int // index of its upper row; the lower row follows
 	}
-	K := len(specs)
-	// The pin system: structural rows plus every fully concrete loop row.
-	pinRows := append([]ilp.Constraint{}, structural...)
-	for _, ctx := range a.contexts {
-		sec, ok := a.annots.Section(ctx.Func)
-		if !ok {
-			continue
-		}
-		fc := a.Prog.Funcs[ctx.Func]
-		for _, lb := range sec.LoopBounds {
-			loop := fc.Loops[lb.Loop-1]
-			if lb.HiSym == "" {
-				upper := ilp.Constraint{Coeffs: map[int]float64{}, Rel: ilp.LE}
-				for _, e := range loop.BackEdges {
-					upper.Coeffs[a.edgeVar(ctx.ID, e)] += 1
-				}
-				for _, e := range loop.EntryEdges {
-					upper.Coeffs[a.edgeVar(ctx.ID, e)] -= float64(lb.Hi)
-				}
-				pinRows = append(pinRows, upper)
-			}
-			if lb.LoSym == "" {
-				lower := ilp.Constraint{Coeffs: map[int]float64{}, Rel: ilp.GE}
-				for _, e := range loop.BackEdges {
-					lower.Coeffs[a.edgeVar(ctx.ID, e)] += 1
-				}
-				for _, e := range loop.EntryEdges {
-					lower.Coeffs[a.edgeVar(ctx.ID, e)] -= float64(lb.Lo)
-				}
-				pinRows = append(pinRows, lower)
-			}
-		}
-	}
-
 	var rows []ilp.Constraint
-	var coefs [][]int64
-	for _, ctx := range a.contexts {
-		sec, ok := a.annots.Section(ctx.Func)
-		if !ok {
+	var symbolic []symbolicBound
+	pinRows := append([]ilp.Constraint{}, structural...)
+	a.eachLoopBound(func(ctx *Context, loop *cfg.Loop, lb constraint.LoopBound) {
+		if lb.Symbolic() {
+			symbolic = append(symbolic, symbolicBound{ctx, loop, lb, len(rows)})
+		}
+		upper := a.loopBoundRow(ctx, loop, lb.Loop, ilp.LE, lb.Hi, lb.HiSym)
+		lower := a.loopBoundRow(ctx, loop, lb.Loop, ilp.GE, lb.Lo, lb.LoSym)
+		rows = append(rows, upper, lower)
+		if lb.HiSym == "" {
+			pinRows = append(pinRows, upper)
+		}
+		if lb.LoSym == "" {
+			pinRows = append(pinRows, lower)
+		}
+	})
+
+	coefs := make([][]int64, len(rows))
+	for _, sb := range symbolic {
+		v, err := a.pinEntrySum(sb.ctx.ID, sb.loop.EntryEdges, pinRows)
+		if err != nil {
+			return nil, nil, &AnnotationError{File: sb.lb.File, Line: sb.lb.Line,
+				Msg: fmt.Sprintf("symbolic bound for %s loop %d (%s): %v", sb.ctx, sb.lb.Loop, symBoundString(sb.lb), err)}
+		}
+		if v == 0 {
 			continue
 		}
-		fc := a.Prog.Funcs[ctx.Func]
-		for _, lb := range sec.LoopBounds {
-			loop := fc.Loops[lb.Loop-1]
-			var entryPin int64
-			if lb.Symbolic() {
-				v, err := a.pinEntrySum(ctx.ID, loop.EntryEdges, pinRows)
-				if err != nil {
-					return nil, nil, &AnnotationError{File: lb.File, Line: lb.Line,
-						Msg: fmt.Sprintf("symbolic bound for %s loop %d (%s): %v", ctx, lb.Loop, symBoundString(lb), err)}
-				}
-				entryPin = v
+		// Σback ≤ θ_hi · v, carried as RHS 0 + v·θ_hi; likewise the lower end.
+		for k, sym := range [2]string{sb.lb.HiSym, sb.lb.LoSym} {
+			if sym != "" {
+				coefs[sb.row+k] = make([]int64, len(specs))
+				coefs[sb.row+k][symIdx[sym]] = v
 			}
-			upper := ilp.Constraint{
-				Coeffs: map[int]float64{},
-				Rel:    ilp.LE,
-				Name:   fmt.Sprintf("%s: loop %d upper %s", ctx, lb.Loop, boundEndString(lb.Hi, lb.HiSym)),
-			}
-			lower := ilp.Constraint{
-				Coeffs: map[int]float64{},
-				Rel:    ilp.GE,
-				Name:   fmt.Sprintf("%s: loop %d lower %s", ctx, lb.Loop, boundEndString(lb.Lo, lb.LoSym)),
-			}
-			for _, e := range loop.BackEdges {
-				upper.Coeffs[a.edgeVar(ctx.ID, e)] += 1
-				lower.Coeffs[a.edgeVar(ctx.ID, e)] += 1
-			}
-			var upperCoef, lowerCoef []int64
-			if lb.HiSym == "" {
-				for _, e := range loop.EntryEdges {
-					upper.Coeffs[a.edgeVar(ctx.ID, e)] -= float64(lb.Hi)
-				}
-			} else if entryPin != 0 {
-				// Σback ≤ θ_hi · v, carried as RHS 0 + v·θ_hi.
-				upperCoef = make([]int64, K)
-				upperCoef[symIdx[lb.HiSym]] = entryPin
-			}
-			if lb.LoSym == "" {
-				for _, e := range loop.EntryEdges {
-					lower.Coeffs[a.edgeVar(ctx.ID, e)] -= float64(lb.Lo)
-				}
-			} else if entryPin != 0 {
-				lowerCoef = make([]int64, K)
-				lowerCoef[symIdx[lb.LoSym]] = entryPin
-			}
-			rows = append(rows, upper, lower)
-			coefs = append(coefs, upperCoef, lowerCoef)
 		}
 	}
 	return rows, coefs, nil

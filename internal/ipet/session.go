@@ -280,11 +280,6 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 		s.nVars += len(fc.Blocks) + len(fc.Edges)
 	}
 
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
 	// Per-function artifacts — cost tables and packed structural row
 	// templates — fetched from the content-addressed cache (or computed on
 	// a miss) in parallel across the reachable set. Unreachable functions
@@ -296,7 +291,7 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 	}
 	fp := prepcache.MarchFingerprint(opts.March)
 	var hits, misses atomic.Int64
-	parallelFor(len(reachable), workers, func(i int) {
+	parallelFor(context.TODO(), len(reachable), opts.Workers, func(_ context.Context, i int) error {
 		name := reachable[i]
 		fc := prog.Funcs[name]
 		var key prepcache.Key
@@ -315,7 +310,7 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 				costs: march.CostsOf(fc, opts.March),
 				tmpl:  prepcache.BuildRowTemplate(fc),
 			}
-			return
+			return nil
 		}
 		var a funcArtifacts
 		var hit bool
@@ -332,6 +327,7 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 			misses.Add(1)
 		}
 		arts[i] = a
+		return nil
 	})
 	tmplByFunc := make(map[string]*prepcache.RowTemplate, len(reachable))
 	for i, name := range reachable {
@@ -359,7 +355,7 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 	totalRows, totalNNZ := rowOff[len(s.contexts)], nzOff[len(s.contexts)]
 	rows := make([]ilp.PackedRow, totalRows+1)
 	colArena := make([]int32, totalNNZ+1)
-	parallelFor(len(s.contexts), workers, func(i int) {
+	parallelFor(context.TODO(), len(s.contexts), opts.Workers, func(_ context.Context, i int) error {
 		c := s.contexts[i]
 		fc := prog.Funcs[c.Func]
 		t := tmplByFunc[c.Func]
@@ -375,6 +371,7 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 			rows[at] = ilp.PackedRow{Cols: cols, Vals: linkVals, Rel: ilp.EQ}
 			at++
 		}
+		return nil
 	})
 	rootFC := prog.Funcs[root]
 	rootCols := colArena[totalNNZ : totalNNZ+1 : totalNNZ+1]
@@ -384,39 +381,19 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 
 	// The two direction objectives are independent; overlap them when the
 	// session allows concurrency.
-	var worst, best objective
-	var worstErr, bestErr error
-	if workers > 1 {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			worst, worstErr = s.worstObjective()
-		}()
-		best, bestErr = s.bestObjective()
-		wg.Wait()
-	} else {
-		worst, worstErr = s.worstObjective()
-		best, bestErr = s.bestObjective()
-	}
-	if worstErr != nil {
-		return nil, worstErr
-	}
-	if bestErr != nil {
-		return nil, bestErr
-	}
-	for _, ds := range []struct {
-		sense ilp.Sense
-		obj   objective
-	}{
-		{ilp.Maximize, worst},
-		{ilp.Minimize, best},
-	} {
-		db := dirBase{sense: ds.sense, obj: ds.obj}
-		if len(ds.obj.extra) > 0 {
-			db.packedExtra = ilp.Pack(ds.obj.extra)
+	s.dirBases = make([]dirBase, len(objectives))
+	if err := parallelFor(context.TODO(), len(objectives), opts.Workers, func(_ context.Context, i int) error {
+		obj, err := objectives[i].build(s)
+		if err != nil {
+			return err
 		}
-		s.dirBases = append(s.dirBases, db)
+		s.dirBases[i] = dirBase{sense: objectives[i].sense, obj: obj}
+		if len(obj.extra) > 0 {
+			s.dirBases[i].packedExtra = ilp.Pack(obj.extra)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	s.baseCache = cache.NewKeyed[string, *warmBaseEntry]()
 	s.solveCache = cache.NewKeyed[string, cachedSolve]()
@@ -428,35 +405,76 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 	return s, nil
 }
 
-// parallelFor runs body(i) for i in [0, n) on up to workers goroutines.
-// Iterations must be independent; with workers <= 1 it degrades to a plain
-// loop.
-func parallelFor(n, workers int, body func(int)) {
+// objectives lists the solve directions with their objective builders,
+// worst case first.
+var objectives = [2]struct {
+	sense ilp.Sense
+	build func(*Session) (objective, error)
+}{
+	{ilp.Maximize, (*Session).worstObjective},
+	{ilp.Minimize, (*Session).bestObjective},
+}
+
+// parallelFor runs body(ctx, i) for i in [0, n) on up to workers goroutines
+// (workers <= 0 selects GOMAXPROCS), inline in index order when that leaves
+// at most one; it is the package's only source of goroutines. Iterations
+// must be independent. The first error stops the loop: no further
+// iteration starts, and the ctx the running ones were given is cancelled.
+// No iteration starts once ctx is done either. The result is the error of
+// the lowest failing index, else ctx's error.
+func parallelFor(ctx context.Context, n, workers int, body func(ctx context.Context, i int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			body(i)
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := body(ctx, i); err != nil {
+				return err
+			}
 		}
-		return
+		return nil
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
+	poolCtx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		failed   = n
+		firstErr error
+	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for poolCtx.Err() == nil {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				body(i)
+				if err := body(poolCtx, i); err != nil {
+					mu.Lock()
+					if i < failed {
+						failed, firstErr = i, err
+					}
+					mu.Unlock()
+					cancel()
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
+	if firstErr != nil {
+		return firstErr
+	}
+	return ctx.Err()
 }
 
 // numBlockVars is the count of block variables across all contexts — the

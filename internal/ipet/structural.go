@@ -3,6 +3,7 @@ package ipet
 import (
 	"fmt"
 
+	"cinderella/internal/cfg"
 	"cinderella/internal/constraint"
 	"cinderella/internal/ilp"
 )
@@ -82,6 +83,21 @@ func (a *Session) structural(withLinkage bool) []ilp.Constraint {
 	return out
 }
 
+// StructuralNetworkMatrix reports whether the intraprocedural structural
+// constraints (the flow equations of Section III.B, per function instance:
+// FlowConstraints) form a recognizable network (totally unimodular) matrix
+// — the Section III.D explanation for why "the branch-and-bound ILP solver
+// finds that the solution of the very first linear program call ... is
+// integer valued".
+//
+// The interprocedural splice rows (d_entry(callee) = f_site, eq. 12) give
+// call-edge columns a third entry and fall outside the two-nonzero
+// sufficient test; integrality across the splice is the paper's empirical
+// observation, which Stats.RootIntegral tracks on every solve.
+func (a *Session) StructuralNetworkMatrix() bool {
+	return ilp.IsNetworkMatrix(&ilp.Problem{NumVars: a.nVars, Constraints: a.FlowConstraints()})
+}
+
 // LoopBoundConstraints materializes the loop annotations per context: a
 // bound [lo, hi] states that the loop iterates (traverses a back edge)
 // between lo and hi times per entry into the loop — the paper's
@@ -91,10 +107,21 @@ func (a *Session) structural(withLinkage bool) []ilp.Constraint {
 //
 //	lo * sum(entry edges) <= sum(back edges) <= hi * sum(entry edges)
 func (a *Analyzer) LoopBoundConstraints() []ilp.Constraint {
-	if a.annots == nil {
-		return nil
-	}
 	var out []ilp.Constraint
+	a.eachLoopBound(func(ctx *Context, loop *cfg.Loop, lb constraint.LoopBound) {
+		out = append(out,
+			a.loopBoundRow(ctx, loop, lb.Loop, ilp.LE, lb.Hi, ""),
+			a.loopBoundRow(ctx, loop, lb.Loop, ilp.GE, lb.Lo, ""))
+	})
+	return out
+}
+
+// eachLoopBound calls f for every annotated loop bound in every context of
+// its function, in row order.
+func (a *Analyzer) eachLoopBound(f func(ctx *Context, loop *cfg.Loop, lb constraint.LoopBound)) {
+	if a.annots == nil {
+		return
+	}
 	for _, ctx := range a.contexts {
 		sec, ok := a.annots.Section(ctx.Func)
 		if !ok {
@@ -102,29 +129,36 @@ func (a *Analyzer) LoopBoundConstraints() []ilp.Constraint {
 		}
 		fc := a.Prog.Funcs[ctx.Func]
 		for _, lb := range sec.LoopBounds {
-			loop := fc.Loops[lb.Loop-1]
-			upper := ilp.Constraint{
-				Coeffs: map[int]float64{},
-				Rel:    ilp.LE,
-				Name:   fmt.Sprintf("%s: loop %d upper %d", ctx, lb.Loop, lb.Hi),
-			}
-			lower := ilp.Constraint{
-				Coeffs: map[int]float64{},
-				Rel:    ilp.GE,
-				Name:   fmt.Sprintf("%s: loop %d lower %d", ctx, lb.Loop, lb.Lo),
-			}
-			for _, e := range loop.BackEdges {
-				upper.Coeffs[a.edgeVar(ctx.ID, e)] += 1
-				lower.Coeffs[a.edgeVar(ctx.ID, e)] += 1
-			}
-			for _, e := range loop.EntryEdges {
-				upper.Coeffs[a.edgeVar(ctx.ID, e)] -= float64(lb.Hi)
-				lower.Coeffs[a.edgeVar(ctx.ID, e)] -= float64(lb.Lo)
-			}
-			out = append(out, upper, lower)
+			f(ctx, &fc.Loops[lb.Loop-1], lb)
 		}
 	}
-	return out
+}
+
+// loopBoundRow builds one side of loop n's bound in one context: the upper
+// row sum(back) - k*sum(entry) <= 0 for rel LE, the lower row (>= 0) for
+// GE. A parameter symbol sym names the end instead of k and leaves the
+// entry edges out; the parametric path carries that end in the right-hand
+// side (paramLoopRows).
+func (a *Session) loopBoundRow(ctx *Context, loop *cfg.Loop, n int, rel ilp.Relation, k int64, sym string) ilp.Constraint {
+	c := ilp.Constraint{Coeffs: map[int]float64{}, Rel: rel}
+	var end any = k
+	if sym != "" {
+		end = sym
+	}
+	if rel == ilp.LE {
+		c.Name = fmt.Sprintf("%s: loop %d upper %v", ctx, n, end)
+	} else {
+		c.Name = fmt.Sprintf("%s: loop %d lower %v", ctx, n, end)
+	}
+	for _, e := range loop.BackEdges {
+		c.Coeffs[a.edgeVar(ctx.ID, e)] += 1
+	}
+	if sym == "" {
+		for _, e := range loop.EntryEdges {
+			c.Coeffs[a.edgeVar(ctx.ID, e)] -= float64(k)
+		}
+	}
+	return c
 }
 
 // resolveVar expands a symbolic constraint variable into ILP terms,
