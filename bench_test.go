@@ -426,11 +426,10 @@ func BenchmarkAblationNullPruning(b *testing.B) {
 
 // BenchmarkEstimateParallel times a full Estimate — the sets x {max,min}
 // ILP jobs — at several worker-pool sizes over the two multi-set
-// benchmarks, then ablates the incremental machinery (set dedup, warm
-// start, incumbent pruning) on a 64-set path-explosion workload. Pruning
-// is disabled so dhry presents all 8 generated sets (16 jobs) to the pool;
-// every worker count and mechanism mix produces the identical bound
-// (asserted here and, under -race, by TestParallelEstimateDeterminism and
+// benchmarks, then on a 64-set path-explosion workload. Pruning is
+// disabled so dhry presents all 8 generated sets (16 jobs) to the pool;
+// every worker count produces the identical bound (asserted here and,
+// under -race, by TestParallelEstimateDeterminism and
 // TestMechanismTogglesIdentical). The pivots metric is the primary cost
 // of the solve; BENCH_estimate.json records a reference run.
 func BenchmarkEstimateParallel(b *testing.B) {
@@ -475,11 +474,9 @@ func BenchmarkEstimateParallel(b *testing.B) {
 		}
 	}
 
-	// Mechanism ablation on the 64-set diamond chain: the cold mode is the
-	// exhaustive per-set two-phase solver; incremental adds dedup, warm
-	// dual-simplex re-solves and incumbent pruning. Sequential so the
-	// pivot counter is deterministic; incremental must spend at most half
-	// the cold pivots.
+	// The 64-set diamond chain with every mechanism on (dedup, warm
+	// dual-simplex re-solves, incumbent pruning), sequential so the pivot
+	// counter is deterministic.
 	exe, err := asm.Assemble(diamondChain(6))
 	if err != nil {
 		b.Fatal(err)
@@ -499,40 +496,29 @@ func BenchmarkEstimateParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pivots := map[string]int{}
-	for _, mode := range []string{"cold", "incremental"} {
-		mode := mode
-		b.Run("explosion64/"+mode, func(b *testing.B) {
-			b.ReportAllocs()
-			opts := ipet.DefaultOptions()
-			opts.Workers = 1
-			if mode == "cold" {
-				opts.DedupSets, opts.WarmStart, opts.IncumbentPrune = false, false, false
-			}
-			an, err := ipet.New(prog, "main", opts)
+	b.Run("explosion64/incremental", func(b *testing.B) {
+		b.ReportAllocs()
+		opts := ipet.DefaultOptions()
+		opts.Workers = 1
+		an, err := ipet.New(prog, "main", opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := an.Apply(file); err != nil {
+			b.Fatal(err)
+		}
+		var est *ipet.Estimate
+		for i := 0; i < b.N; i++ {
+			est, err = an.Estimate()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := an.Apply(file); err != nil {
-				b.Fatal(err)
-			}
-			var est *ipet.Estimate
-			for i := 0; i < b.N; i++ {
-				est, err = an.Estimate()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if est.NumSets != 64 {
-				b.Fatalf("workload has %d sets, want 64", est.NumSets)
-			}
-			pivots[mode] = est.Stats.Pivots
-			b.ReportMetric(float64(est.Stats.Pivots), "pivots")
-			b.ReportMetric(float64(est.Stats.IncumbentSkipped), "incumbent_skipped")
-			b.ReportMetric(float64(est.WCET.Cycles), "wcet_cycles")
-		})
-	}
-	if c, i := pivots["cold"], pivots["incremental"]; c > 0 && i*2 > c {
-		b.Fatalf("explosion64 pivots: cold %d, incremental %d — want at least a 2x reduction", c, i)
-	}
+		}
+		if est.NumSets != 64 {
+			b.Fatalf("workload has %d sets, want 64", est.NumSets)
+		}
+		b.ReportMetric(float64(est.Stats.Pivots), "pivots")
+		b.ReportMetric(float64(est.Stats.IncumbentSkipped), "incumbent_skipped")
+		b.ReportMetric(float64(est.WCET.Cycles), "wcet_cycles")
+	})
 }

@@ -316,8 +316,8 @@ func printReport(sess *ipet.Session, est *ipet.Estimate, analyzed string, mhz fl
 			s.SetsTotal, s.PrunedNull, s.Deduped, s.IncumbentSkipped, s.CacheHits, s.Solved)
 		fmt.Printf("solver: %d warm dual-simplex solves, %d cold solves, %d simplex pivots\n",
 			s.WarmSolves, s.ColdSolves, s.Pivots)
-		fmt.Printf("solver: %d network-flow solves, %d revised-kernel pivots, %d refactorizations\n",
-			s.NetworkSolves, s.RevisedPivots, s.Refactorizations)
+		fmt.Printf("solver: %d revised-kernel pivots, %d refactorizations\n",
+			s.RevisedPivots, s.Refactorizations)
 		if s.ExactResolves > 0 {
 			fmt.Printf("certify: %d exact re-solves (%v)\n", s.ExactResolves, s.Resolves)
 		}

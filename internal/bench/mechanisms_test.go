@@ -27,11 +27,11 @@ func benchReportOf(est *ipet.Estimate) benchReport {
 	}
 }
 
-// toggleWorkload is one estimate the mechanism-toggle gate replays under
-// varying options.
+// toggleWorkload is one analysis the mechanism-toggle gate replays under
+// varying options: build returns the analyzer and its estimate.
 type toggleWorkload struct {
-	name     string
-	estimate func(ipet.Options) (*ipet.Estimate, error)
+	name  string
+	build func(ipet.Options) (*ipet.Analyzer, *ipet.Estimate, error)
 }
 
 // toggleWorkloads are the 13 Table I programs and the 16- and 64-set
@@ -39,21 +39,22 @@ type toggleWorkload struct {
 func toggleWorkloads() []toggleWorkload {
 	var ws []toggleWorkload
 	for _, bm := range All() {
-		ws = append(ws, toggleWorkload{bm.Name, func(opts ipet.Options) (*ipet.Estimate, error) {
+		ws = append(ws, toggleWorkload{bm.Name, func(opts ipet.Options) (*ipet.Analyzer, *ipet.Estimate, error) {
 			bt, err := bm.Build(opts)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return bt.Est, nil
+			return bt.An, bt.Est, nil
 		}})
 	}
 	for _, n := range []int{4, 6} {
-		ws = append(ws, toggleWorkload{fmt.Sprintf("chain%d", 1<<n), func(opts ipet.Options) (*ipet.Estimate, error) {
+		ws = append(ws, toggleWorkload{fmt.Sprintf("chain%d", 1<<n), func(opts ipet.Options) (*ipet.Analyzer, *ipet.Estimate, error) {
 			an, err := explosionWorkload(n, opts)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			return an.Estimate()
+			est, err := an.Estimate()
+			return an, est, err
 		}})
 	}
 	return ws
@@ -61,42 +62,55 @@ func toggleWorkloads() []toggleWorkload {
 
 // TestMechanismTogglesOnBenchmarks is the acceptance gate for the
 // incremental cross-product machinery on the paper's own workloads: for
-// every Table I program and the 16- and 64-set chains, toggling set dedup,
-// warm start and incumbent pruning in every combination (four of them
-// under -short) — at one and at four workers — must reproduce the
-// exhaustive cold sequential bound report bit for bit. The warm start
-// decides how a winner's counts are finished (a unique warm optimum, or a
-// cold re-solve), so every program whose winners take either route is
-// covered.
+// every Table I program and the 16- and 64-set chains, plain, with the
+// first-iteration split, without null-set pruning and certified, the
+// estimate must report exactly what the exhaustive reference
+// (ipet.Analyzer.ExhaustiveEstimate) does, with incumbent pruning on and
+// off, at one and at four workers. The warm start decides how a winner's
+// counts are finished (a unique warm optimum, or a cold re-solve), so
+// every program whose winners take either route is covered. Certified
+// reports are compared without their certificate-layer fields.
 func TestMechanismTogglesOnBenchmarks(t *testing.T) {
+	modes := []struct {
+		name   string
+		mutate func(*ipet.Options)
+	}{
+		{"plain", func(*ipet.Options) {}},
+		{"split", func(o *ipet.Options) { o.SplitFirstIteration = true }},
+		{"noprune", func(o *ipet.Options) { o.PruneNullSets = false }},
+		{"certify", func(o *ipet.Options) { o.Certify = true }},
+	}
+	uncertified := func(est *ipet.Estimate) benchReport {
+		r := benchReportOf(est)
+		r.WCET.Certified, r.WCET.RecheckedSets = false, 0
+		r.BCET.Certified, r.BCET.RecheckedSets = false, 0
+		return r
+	}
 	for _, w := range toggleWorkloads() {
 		t.Run(w.name, func(t *testing.T) {
-			coldOpts := ipet.DefaultOptions()
-			coldOpts.Workers = 1
-			coldOpts.DedupSets, coldOpts.WarmStart, coldOpts.IncumbentPrune = false, false, false
-			cold, err := w.estimate(coldOpts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := benchReportOf(cold)
-			masks := []int{1, 2, 4, 7}
-			if !testing.Short() {
-				masks = []int{0, 1, 2, 3, 4, 5, 6, 7}
-			}
-			for _, mask := range masks {
-				dedup, warm, prune := mask&1 != 0, mask&2 != 0, mask&4 != 0
-				for _, workers := range []int{1, 4} {
+			for _, m := range modes {
+				var want benchReport
+				for i, cfg := range []struct {
+					prune   bool
+					workers int
+				}{{true, 1}, {false, 1}, {true, 4}, {false, 4}} {
 					opts := ipet.DefaultOptions()
-					opts.Workers = workers
-					opts.DedupSets, opts.WarmStart, opts.IncumbentPrune = dedup, warm, prune
-					est, err := w.estimate(opts)
+					m.mutate(&opts)
+					opts.Workers, opts.IncumbentPrune = cfg.workers, cfg.prune
+					an, est, err := w.build(opts)
 					if err != nil {
-						t.Fatalf("dedup=%v warm=%v prune=%v workers=%d: %v",
-							dedup, warm, prune, workers, err)
+						t.Fatalf("%s prune=%v workers=%d: %v", m.name, cfg.prune, cfg.workers, err)
 					}
-					if got := benchReportOf(est); !reflect.DeepEqual(want, got) {
-						t.Errorf("dedup=%v warm=%v prune=%v workers=%d diverges:\nwant: %+v\ngot:  %+v",
-							dedup, warm, prune, workers, want, got)
+					if i == 0 {
+						ref, err := an.ExhaustiveEstimate()
+						if err != nil {
+							t.Fatalf("%s reference: %v", m.name, err)
+						}
+						want = benchReportOf(ref)
+					}
+					if got := uncertified(est); !reflect.DeepEqual(want, got) {
+						t.Errorf("%s prune=%v workers=%d diverges from the exhaustive reference:\nwant: %+v\ngot:  %+v",
+							m.name, cfg.prune, cfg.workers, want, got)
 					}
 				}
 			}
@@ -132,12 +146,11 @@ func TestWinnerFinishRoutes(t *testing.T) {
 	}
 }
 
-// TestColdWinnerCountsCached: on a prepared session without the warm start
-// every winner is solved cold, and its counts must enter the session's
-// count cache like any other winner's. A repeat of the scenario then
-// spends no pivots at all and reports exactly what a fresh session does.
-// Incumbent pruning is off so that every set solves to a cacheable
-// outcome.
+// TestColdWinnerCountsCached: on a prepared session every winner's counts
+// enter the session's count cache, whether its warm optimum is unique (des)
+// or it was re-solved cold (dhry). A repeat of the scenario then spends no
+// pivots at all and reports exactly what a fresh session does. Incumbent
+// pruning is off so that every set solves to a cacheable outcome.
 func TestColdWinnerCountsCached(t *testing.T) {
 	for _, name := range []string{"des", "dhry"} {
 		bm, ok := ByName(name)
@@ -146,7 +159,7 @@ func TestColdWinnerCountsCached(t *testing.T) {
 		}
 		opts := ipet.DefaultOptions()
 		opts.Workers = 1
-		opts.WarmStart, opts.IncumbentPrune = false, false
+		opts.IncumbentPrune = false
 		bt, err := bm.Build(opts)
 		if err != nil {
 			t.Fatal(err)

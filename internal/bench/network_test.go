@@ -8,23 +8,21 @@ import (
 )
 
 // TestStructuralMatricesAreNetwork pins the paper's Section III.D claim on
-// real Table I programs, and with it the solver router's decision surface:
+// real Table I programs, and where it stops holding:
 //
 //   - The flow-conservation rows of dhry and des (block = sum(in),
 //     block = sum(out), root entry = 1) form a recognizable network
-//     (node-arc incidence) matrix — the polynomial-time shape the
-//     min-cost-flow kernel fires on.
+//     (node-arc incidence) matrix, which is why the first LP relaxation
+//     is integral.
 //   - The eq. 12 call-linkage rows give every call-edge column a third
 //     nonzero (the edge already sits in its caller's out-row and the
 //     return successor's in-row), so the full interprocedural system of a
-//     multi-procedure program is NOT strict network form and routes to the
-//     revised simplex kernel instead.
+//     multi-procedure program is NOT strict network form.
 //   - The k·x loop-bound rows those programs add are likewise off the
 //     network form: a scaled coefficient can never be a ±1 incidence entry.
 //
 // A call-free, loop-free program (the explosion chain) keeps its entire
-// structural system on the network path, which is where the committed
-// BENCH_estimate.json network_solves counts come from.
+// structural system in network form.
 func TestStructuralMatricesAreNetwork(t *testing.T) {
 	for _, name := range []string{"dhry", "des"} {
 		bm, ok := ByName(name)
@@ -77,7 +75,7 @@ func TestStructuralMatricesAreNetwork(t *testing.T) {
 	}
 
 	// Call-free control: the whole structural system of the explosion chain
-	// is an incidence matrix, so its sets ride the flow fast path.
+	// is an incidence matrix.
 	exAn, err := explosionWorkload(6, ipet.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -29,10 +29,8 @@ type EstimatePerf struct {
 	WarmSolves       int `json:"warm_solves"`
 	ColdSolves       int `json:"cold_solves"`
 
-	// Solver-kernel counters: cold solves answered by the min-cost-flow
-	// fast path, and the revised (factored-basis) kernel's pivots and
+	// Revised (factored-basis) kernel counters: its pivots and
 	// refactorizations.
-	NetworkSolves    int `json:"network_solves"`
 	RevisedPivots    int `json:"revised_pivots"`
 	Refactorizations int `json:"refactorizations"`
 
@@ -95,7 +93,6 @@ func (p *EstimatePerf) FillFromEstimate(est *ipet.Estimate) {
 	p.Pivots = est.Stats.Pivots
 	p.WarmSolves = est.Stats.WarmSolves
 	p.ColdSolves = est.Stats.ColdSolves
-	p.NetworkSolves = est.Stats.NetworkSolves
 	p.RevisedPivots = est.Stats.RevisedPivots
 	p.Refactorizations = est.Stats.Refactorizations
 	p.SetsWidened = est.Stats.SetsWidened

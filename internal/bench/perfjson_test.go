@@ -57,54 +57,36 @@ func explosionWorkload(n int, opts ipet.Options) (*ipet.Analyzer, error) {
 	return an, nil
 }
 
-// TestWriteEstimateBenchJSON measures steady-state Estimate cost on the
-// multi-set workloads — dhry, des, and the 64-set path-explosion chain —
-// with the incremental machinery off (the exhaustive cold solver) and on,
-// and writes the rows to BENCH_estimate.json. The artifact lands in
-// $CINDERELLA_BENCH_JSON when set (CI and refresh runs), otherwise in a
-// temp dir. On the 64-set workload the incremental path must spend at most
-// half the cold path's simplex pivots.
-// perfWorkloads builds the cold/incremental analyzer pairs the perf
-// artifact and the CI pivot-regression gate both measure.
+// perfWorkloads builds the analyzers the perf artifact and the CI
+// pivot-regression gate both measure: dhry, des and the 64-set
+// path-explosion chain, each plain (/incremental) and certified.
 func perfWorkloads(t *testing.T) []estimateWorkload {
 	t.Helper()
-	mode := func(incremental bool) ipet.Options {
-		opts := ipet.DefaultOptions()
-		opts.Workers = 1
-		if !incremental {
-			opts.DedupSets, opts.WarmStart, opts.IncumbentPrune = false, false, false
-		}
-		return opts
-	}
+	opts := ipet.DefaultOptions()
+	opts.Workers = 1
 	var workloads []estimateWorkload
-	for _, incremental := range []bool{false, true} {
-		suffix := "/cold"
-		if incremental {
-			suffix = "/incremental"
+	for _, name := range []string{"dhry", "des"} {
+		bm, ok := ByName(name)
+		if !ok {
+			t.Fatalf("unknown benchmark %q", name)
 		}
-		for _, name := range []string{"dhry", "des"} {
-			bm, ok := ByName(name)
-			if !ok {
-				t.Fatalf("unknown benchmark %q", name)
-			}
-			opts := mode(incremental)
-			opts.PruneNullSets = false // dhry presents all 8 sets
-			bt, err := bm.Build(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			workloads = append(workloads, estimateWorkload{name + suffix, bt.An})
-		}
-		an, err := explosionWorkload(6, mode(incremental))
+		o := opts
+		o.PruneNullSets = false // dhry presents all 8 sets
+		bt, err := bm.Build(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		workloads = append(workloads, estimateWorkload{"explosion64" + suffix, an})
+		workloads = append(workloads, estimateWorkload{name + "/incremental", bt.An})
 	}
+	an, err := explosionWorkload(6, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	workloads = append(workloads, estimateWorkload{"explosion64/incremental", an})
 	// Certified rows: the incremental configuration plus the exact-rational
 	// verification layer, so the artifact records certification overhead
 	// against the matching /incremental row.
-	certOpts := mode(true)
+	certOpts := opts
 	certOpts.Certify = true
 	certOpts.PruneNullSets = false
 	for _, name := range []string{"dhry", "des"} {
@@ -118,7 +100,7 @@ func perfWorkloads(t *testing.T) []estimateWorkload {
 		}
 		workloads = append(workloads, estimateWorkload{name + "/certified", bt.An})
 	}
-	exOpts := mode(true)
+	exOpts := opts
 	exOpts.Certify = true
 	exAn, err := explosionWorkload(6, exOpts)
 	if err != nil {
@@ -128,6 +110,12 @@ func perfWorkloads(t *testing.T) []estimateWorkload {
 	return workloads
 }
 
+// TestWriteEstimateBenchJSON measures steady-state Estimate cost on the
+// perf workloads and writes the rows to BENCH_estimate.json. The artifact
+// lands in $CINDERELLA_BENCH_JSON when set (CI and refresh runs),
+// otherwise in a temp dir. Each /incremental row must report the bounds of
+// the exhaustive reference (ipet.Analyzer.ExhaustiveEstimate), and on the
+// 64-set workload spend at most half its simplex pivots.
 func TestWriteEstimateBenchJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs timed benchmarks")
@@ -135,7 +123,15 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 	workloads := perfWorkloads(t)
 
 	recs := make([]EstimatePerf, 0, len(workloads))
+	refs := map[string]*ipet.Estimate{}
 	for _, w := range workloads {
+		if strings.HasSuffix(w.name, "/incremental") {
+			ref, err := w.an.ExhaustiveEstimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs[strings.TrimSuffix(w.name, "/incremental")] = ref
+		}
 		var est *ipet.Estimate
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -160,15 +156,15 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 	for _, r := range recs {
 		byName[r.Name] = r
 	}
-	coldP, incrP := byName["explosion64/cold"].Pivots, byName["explosion64/incremental"].Pivots
+	coldP, incrP := refs["explosion64"].Stats.Pivots, byName["explosion64/incremental"].Pivots
 	if incrP*2 > coldP {
-		t.Errorf("explosion64 pivots: cold %d, incremental %d — want at least a 2x reduction", coldP, incrP)
+		t.Errorf("explosion64 pivots: exhaustive %d, incremental %d — want at least a 2x reduction", coldP, incrP)
 	}
 	for _, name := range []string{"dhry", "des", "explosion64"} {
-		c, i := byName[name+"/cold"], byName[name+"/incremental"]
-		if c.WCET != i.WCET || c.BCET != i.BCET {
-			t.Errorf("%s: incremental bound [%d,%d] != cold [%d,%d]",
-				name, i.BCET, i.WCET, c.BCET, c.WCET)
+		ref, i := refs[name], byName[name+"/incremental"]
+		if ref.WCET.Cycles != i.WCET || ref.BCET.Cycles != i.BCET {
+			t.Errorf("%s: incremental bound [%d,%d] != exhaustive [%d,%d]",
+				name, i.BCET, i.WCET, ref.BCET.Cycles, ref.WCET.Cycles)
 		}
 	}
 	for _, name := range []string{"dhry", "des", "explosion64"} {
@@ -208,7 +204,7 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 	if len(back) != len(recs) {
 		t.Fatalf("artifact has %d rows, want %d", len(back), len(recs))
 	}
-	t.Logf("wrote %s (%d rows); explosion64 pivots cold %d -> incremental %d",
+	t.Logf("wrote %s (%d rows); explosion64 pivots exhaustive %d -> incremental %d",
 		path, len(recs), coldP, incrP)
 }
 

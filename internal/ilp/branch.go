@@ -65,9 +65,6 @@ func SolveCtxOpts(ctx context.Context, p *Problem, opts SolveOptions) (*Solution
 		sol.Stats.LPSolves++
 		sol.Stats.Pivots += r.pivots
 		sol.Stats.SuspectPivots += r.suspect
-		if r.network {
-			sol.Stats.NetworkSolves++
-		}
 		sol.Stats.RevisedPivots += r.revisedPivots
 		sol.Stats.Refactorizations += r.refactors
 	}

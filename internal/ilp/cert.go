@@ -1,20 +1,5 @@
 package ilp
 
-// Certificate is the optimality certificate a float64 solve emits so an
-// exact checker (package certify) can re-verify the reported optimum in
-// rational arithmetic. It names the basis the solve ended on; everything
-// else — the standard-form matrix, the right-hand sides, the objective —
-// the checker rebuilds itself from the Problem, exactly, using the same
-// deterministic lowering the solver used. A certificate therefore proves
-// or fails to prove optimality; it cannot smuggle in a wrong feasible
-// region.
-//
-// Verification is the textbook basis check: with B the basis columns,
-// x_B = B⁻¹b must be nonnegative (primal feasibility), and the reduced
-// costs c_j − c_B B⁻¹ A_j must be nonpositive for every admissible
-// nonbasic column (dual feasibility), which together certify x as an
-// optimum of the LP relaxation by weak duality. An integral certified x
-// also answers the integer problem.
 // DroppedDeltaRow reports how the warm path disposes of a per-set
 // constraint before it reaches the tableau: dropped (a constant row the
 // base trivially satisfies), infeasible (a constant row the base
@@ -33,6 +18,21 @@ func DroppedDeltaRow(c *Constraint) (dropped, infeasible bool) {
 	return false, false
 }
 
+// Certificate is the optimality certificate a float64 solve emits so an
+// exact checker (package certify) can re-verify the reported optimum in
+// rational arithmetic. It names the basis the solve ended on; everything
+// else — the standard-form matrix, the right-hand sides, the objective —
+// the checker rebuilds itself from the Problem, exactly, using the same
+// deterministic lowering the solver used. A certificate therefore proves
+// or fails to prove optimality; it cannot smuggle in a wrong feasible
+// region.
+//
+// Verification is the textbook basis check: with B the basis columns,
+// x_B = B⁻¹b must be nonnegative (primal feasibility), and the reduced
+// costs c_j − c_B B⁻¹ A_j must be nonpositive for every admissible
+// nonbasic column (dual feasibility), which together certify x as an
+// optimum of the LP relaxation by weak duality. An integral certified x
+// also answers the integer problem.
 type Certificate struct {
 	// Warm marks a certificate from the warm-started dual-simplex path,
 	// whose standard form differs from the cold lowering: the checker must
@@ -44,21 +44,4 @@ type Certificate struct {
 	// ordered Prefix first, then Constraints (for Warm: base rows first,
 	// then the lowered delta rows).
 	Basis []int
-
-	// Flow marks a certificate from the network-simplex kernel, which does
-	// not carry a tableau basis. Instead it names a primal point X and a
-	// dual price Y per original row (Prefix rows first, then Constraints,
-	// in the internal maximization sense), both integral by construction.
-	// The checker verifies strong duality directly: X feasible, Y
-	// sign-feasible per row relation, AᵀY ≥ ĉ componentwise, and
-	// YᵀB = ĉᵀX exactly — which proves optimality by weak duality without
-	// trusting the kernel's spanning tree.
-	Flow bool
-	// X is the claimed optimal assignment (length NumVars); Flow only.
-	X []float64
-	// Y holds one dual price per original row, Prefix rows first then
-	// Constraints, against the rows exactly as stored in the Problem
-	// (Prefix rows are already sign-normalized by Pack; Constraints are
-	// taken as written, unnormalized); Flow only.
-	Y []float64
 }

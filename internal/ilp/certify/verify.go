@@ -45,9 +45,6 @@ func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if cert.Flow {
-		return verifyFlow(p, cert)
-	}
 	var (
 		sf  *stdForm
 		err error

@@ -21,32 +21,16 @@ import (
 	"sync/atomic"
 )
 
-// Kernel-disable bits of kernelsOff: the zero value leaves every kernel
-// enabled, so the fast paths are on by default.
-const (
-	kernelNetwork uint32 = 1 << iota
-	kernelRevised
-)
+// revisedOff disables the revised kernel; the zero value leaves it on.
+var revisedOff atomic.Bool
 
-var kernelsOff atomic.Uint32
-
-// SetKernels toggles the solver's fast-path kernels globally: the network
-// min-cost-flow kernel and the revised factored-basis simplex. Disabling
-// both routes every solve through the retained full-tableau kernel. Routing
-// never changes a bound or a status — every kernel is differential-checked
+// SetKernels toggles the revised factored-basis simplex kernel globally;
+// disabled, every solve runs on the retained full-tableau kernel. Routing
+// never changes a bound or a status — both kernels are differential-checked
 // against the same oracles — but where an optimum is not unique, kernels
-// may return different optimal points. The toggles exist for isolating a
+// may return different optimal points. The toggle exists for isolating a
 // kernel under test.
-func SetKernels(network, revised bool) {
-	var off uint32
-	if !network {
-		off |= kernelNetwork
-	}
-	if !revised {
-		off |= kernelRevised
-	}
-	kernelsOff.Store(off)
-}
+func SetKernels(revised bool) { revisedOff.Store(!revised) }
 
 // Sense selects optimization direction.
 type Sense int
@@ -147,18 +131,13 @@ type Stats struct {
 	// the paper's key practical observation.
 	RootIntegral bool
 	// Pivots counts simplex pivot operations across all LP solves,
-	// whichever kernel performed them (tableau, revised, or network-arc
-	// pivots of the flow kernel).
+	// whichever kernel performed them (tableau or revised).
 	Pivots int
 	// SuspectPivots counts pivots whose element fell outside the
 	// well-conditioned magnitude range (see suspectPivotLo/Hi): the float64
 	// result may be poisoned by cancellation and deserves exact
 	// re-verification.
 	SuspectPivots int
-	// NetworkSolves counts LP solves answered by the min-cost-flow fast
-	// path — the paper's polynomial-time route for structural and
-	// IDL-expressible constraint sets.
-	NetworkSolves int
 	// RevisedPivots counts the subset of Pivots performed by the revised
 	// (factored-basis) simplex kernel.
 	RevisedPivots int

@@ -92,6 +92,13 @@ func growF64(s []float64, n int) []float64 {
 	return s[:n]
 }
 
+func growI32(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
 func growInt(s []int, n int) []int {
 	if cap(s) < n {
 		return make([]int, n)

@@ -116,9 +116,9 @@ func simplex(p *Problem) (Status, float64, []float64, int) {
 }
 
 // lpResult is one simplex call's outcome plus the certification metadata
-// (suspect-pivot count, optimal-basis certificate) and the kernel
-// accounting (which kernel answered, its revised-pivot and refactorization
-// counts) the plain 4-tuple signature of simplex cannot carry.
+// (suspect-pivot count, optimal-basis certificate) and the revised
+// kernel's accounting (its pivot and refactorization counts) the plain
+// 4-tuple signature of simplex cannot carry.
 type lpResult struct {
 	status  Status
 	obj     float64
@@ -127,18 +127,16 @@ type lpResult struct {
 	suspect int
 	cert    *Certificate
 
-	// network marks a solve answered by the min-cost-flow kernel;
-	// revisedPivots/refactors count the revised kernel's work. Both feed
-	// Stats.NetworkSolves / Stats.RevisedPivots / Stats.Refactorizations.
-	network       bool
+	// revisedPivots/refactors count the revised kernel's work; they feed
+	// Stats.RevisedPivots / Stats.Refactorizations.
 	revisedPivots int
 	refactors     int
 }
 
 // simplexFull is simplex with certification metadata: it routes the solve
-// to the cheapest sound kernel (see routeSimplex) and additionally reports
-// the solve's suspect-pivot count and, when wantCert is set and the solve
-// ended Optimal on a nonempty row set, an optimality certificate for exact
+// to a kernel (see routeSimplex) and additionally reports the solve's
+// suspect-pivot count and, when wantCert is set and the solve ended
+// Optimal on a nonempty row set, an optimality certificate for exact
 // re-verification.
 func simplexFull(p *Problem, wantCert bool) lpResult {
 	r := routeSimplex(p, wantCert)
@@ -152,33 +150,19 @@ func simplexFull(p *Problem, wantCert bool) lpResult {
 	return r
 }
 
-// routeSimplex picks the cheapest sound kernel for one LP solve:
-//
-//   - the network fast path, when the rows convert exactly to a
-//     min-cost-flow instance (integer arithmetic, certificates for free);
-//   - the revised simplex, whose factored-basis pivots touch O(nnz)
-//     entries instead of a full tableau row set;
-//   - the retained full-tableau kernel, the fallback that accepts
-//     everything.
-//
-// A kernel that declines (inexpressible rows, a singular refactorization,
-// an iteration cap) falls through to the next, so routing can never change
+// routeSimplex runs one LP solve on the revised simplex, whose
+// factored-basis pivots touch O(nnz) entries instead of a full tableau row
+// set, and falls back to the retained full-tableau kernel, which accepts
+// everything, when the revised kernel declines (a singular
+// refactorization, an iteration cap). Routing can therefore never change
 // an answer — only the work done to reach it. With a fault injector
 // installed everything runs on the tableau kernel: the documented fault
 // sites are tableau computations, and the certification tests that inject
 // them must keep faulting the solver that actually answers.
 func routeSimplex(p *Problem, wantCert bool) lpResult {
-	if len(p.Prefix)+len(p.Constraints) > 0 && faultInjector.Load() == nil {
-		off := kernelsOff.Load()
-		if off&kernelNetwork == 0 {
-			if r, ok := networkSolve(p, wantCert); ok {
-				return r
-			}
-		}
-		if off&kernelRevised == 0 {
-			if r, ok := revisedSimplex(p, wantCert); ok {
-				return r
-			}
+	if len(p.Prefix)+len(p.Constraints) > 0 && faultInjector.Load() == nil && !revisedOff.Load() {
+		if r, ok := revisedSimplex(p, wantCert); ok {
+			return r
 		}
 	}
 	return tableauSimplex(p, wantCert)

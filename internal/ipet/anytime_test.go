@@ -132,7 +132,7 @@ func TestAnytimeDegradationOn64SetChain(t *testing.T) {
 // under full pivot-budget degradation: the budget is spent by the plan's
 // own base solves, so every per-set job is gated before launch and the
 // report is the pure relaxation envelope — bit-identical at every worker
-// count and mechanism combination.
+// count, with incumbent pruning on or off.
 func TestBudgetDeterministicDegradation(t *testing.T) {
 	src, annots := manySetProgram(6)
 	run := func(mutate func(*Options)) *Estimate {
@@ -149,20 +149,16 @@ func TestBudgetDeterministicDegradation(t *testing.T) {
 		t.Fatalf("fully degraded WCET should be the anonymous envelope: %+v", baseline.WCET)
 	}
 	want := reportOf(baseline)
-	for mask := 0; mask < 8; mask++ {
-		dedup, warm, prune := mask&1 != 0, mask&2 != 0, mask&4 != 0
+	for _, prune := range []bool{false, true} {
 		for _, workers := range []int{1, 3, 8} {
-			est := run(func(o *Options) {
-				o.Workers = workers
-				o.DedupSets, o.WarmStart, o.IncumbentPrune = dedup, warm, prune
-			})
+			est := run(func(o *Options) { o.Workers, o.IncumbentPrune = workers, prune })
 			if got := reportOf(est); !reflect.DeepEqual(want, got) {
-				t.Errorf("dedup=%v warm=%v prune=%v workers=%d diverges:\nwant: %+v\ngot:  %+v",
-					dedup, warm, prune, workers, want, got)
+				t.Errorf("prune=%v workers=%d diverges:\nwant: %+v\ngot:  %+v",
+					prune, workers, want, got)
 			}
 			if est.Stats.SetsUnsolved == 0 {
-				t.Errorf("dedup=%v warm=%v prune=%v workers=%d: no jobs gated — budget no longer covered by setup pivots",
-					dedup, warm, prune, workers)
+				t.Errorf("prune=%v workers=%d: no jobs gated — budget no longer covered by setup pivots",
+					prune, workers)
 			}
 		}
 	}
@@ -299,11 +295,11 @@ func TestCrashedSetDegradesNotDrops(t *testing.T) {
 	}
 
 	// Without a warm base or budget there is no envelope; the crash must
-	// surface with its message instead of a silent drop.
-	an := analyzerWith(t, src, annots, func(o *Options) {
-		o.Workers = 1
-		o.WarmStart = false
-	})
+	// surface with its message instead of a silent drop. A loop without a
+	// bound leaves the base LP unbounded, a base the warm start cannot
+	// solve; its one (empty) set is job 0.
+	loop := "main:\n.L:     addi r1, r1, 1\n        bne r1, r0, .L\n        halt\n"
+	an := analyzerWith(t, loop, "", func(o *Options) { o.Workers = 1 })
 	_, err := an.Estimate()
 	if err == nil || !strings.Contains(err.Error(), "crashed") {
 		t.Fatalf("crash with no envelope: err = %v, want crash diagnostic", err)

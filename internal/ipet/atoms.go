@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -271,15 +270,6 @@ func (t *keyTable) setKey(set []int32, ranks []int32) (string, []int32) {
 		sb.WriteString(t.canon[r])
 	}
 	return sb.String(), ranks
-}
-
-// keyPrefix heads a direction's session cache keys: the direction and the
-// loop-bound rows of its base, length-prefixed.
-func keyPrefix(di int, loopKey string) string {
-	b := strconv.AppendInt(nil, int64(di), 10)
-	b = append(b, '|')
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(loopKey)))
-	return string(append(b, loopKey...))
 }
 
 // warmRow is one atom's row lowered into a direction's warm-start tableau,

@@ -1,6 +1,7 @@
 package ipet
 
 import (
+	"reflect"
 	"testing"
 
 	"cinderella/internal/asm"
@@ -86,18 +87,12 @@ func TestContextSetsNotDeduped(t *testing.T) {
 	}
 
 	// And the incremental machinery must agree with the exhaustive path.
-	cold := contextAnalyzer(t, annots, func(o *Options) {
-		o.DedupSets, o.WarmStart, o.IncumbentPrune = false, false, false
-		o.Workers = 1
-	})
-	cest, err := cold.Estimate()
+	ref, err := an.ExhaustiveEstimate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cest.WCET.Cycles != est.WCET.Cycles || cest.BCET.Cycles != est.BCET.Cycles ||
-		cest.WCET.SetIndex != est.WCET.SetIndex || cest.BCET.SetIndex != est.BCET.SetIndex {
-		t.Fatalf("incremental diverges from exhaustive:\ncold: %+v %+v\nfast: %+v %+v",
-			cest.WCET, cest.BCET, est.WCET, est.BCET)
+	if !reflect.DeepEqual(reportOf(ref), reportOf(est)) {
+		t.Fatalf("incremental diverges from exhaustive:\nref:  %+v\nfast: %+v", reportOf(ref), reportOf(est))
 	}
 }
 

@@ -74,17 +74,17 @@ type Stats struct {
 	// WarmSolves counts jobs concluded by the warm dual-simplex path plus
 	// the winners' finishing warm solves (finishDir), which also test the
 	// optimum for uniqueness; ColdSolves counts full two-phase solves (base
-	// solves, fallbacks, disabled warm start, and the canonicalizing
-	// re-solve of a winner whose optimum is not unique or has no warm
-	// base).
+	// solves, fallbacks, and the canonicalizing re-solve of a winner whose
+	// optimum is not unique or has no warm base).
 	WarmSolves int
 	ColdSolves int
 	// Pivots counts simplex pivots across every solve of the estimate —
 	// the primary cost metric the warm start attacks.
 	Pivots int
-	// NetworkSolves counts cold LP solves answered by the solver's
-	// min-cost-flow fast path (annotation-light sets whose rows are
-	// network-expressible — the paper's polynomial-time route).
+	// NetworkSolves is always zero: the min-cost-flow kernel that answered
+	// such solves was removed.
+	//
+	// Deprecated: kept only for callers that still read it.
 	NetworkSolves int
 	// RevisedPivots counts the subset of Pivots performed by the revised
 	// (factored-basis) simplex kernel; Refactorizations counts that
@@ -340,8 +340,8 @@ func (a *Session) bestObjective() (objective, error) {
 }
 
 // direction bundles everything one objective sense shares across its
-// per-set solves: the objective, the pre-lowered shared rows, and (when
-// enabled and available) the warm-start base tableau.
+// per-set solves: the objective, the pre-lowered shared rows, and the
+// warm-start base tableau.
 type direction struct {
 	sense  ilp.Sense
 	obj    objective
@@ -351,16 +351,13 @@ type direction struct {
 	// objective rows, no set rows). Adding rows only shrinks the feasible
 	// region, so relax dominates every per-set optimum: it is the sound
 	// envelope reported for sets the analysis never finished. Taken from
-	// the warm base when available, otherwise solved once in solverSetup
+	// the warm base when it is ready, otherwise solved once in solverSetup
 	// when a budgeted run may need it.
 	relax   float64
 	relaxOK bool
 	// warmRows[k] is atom k's row lowered into warm, built by the first
 	// solve that needs it (nil without a ready warm base).
 	warmRows []warmRow
-	// keyPrefix heads this direction's session cache keys (persistent
-	// sessions only).
-	keyPrefix string
 }
 
 // warmRow returns atom k's row lowered into the direction's warm base,
@@ -401,8 +398,7 @@ type solverPlan struct {
 	distinct []int
 	slot     []int
 	deduped  int
-	// keys[i] is the canonical key of set i, computed when dedup or a
-	// persistent session needs it (nil otherwise). rowKeys[k] is atom k's
+	// keys[i] is the canonical key of set i. rowKeys[k] is atom k's
 	// order-sensitive row encoding, from which winner-count keys are
 	// assembled, and loopKey identifies the loop-bound rows this plan
 	// appended to the shared structural prefix (persistent sessions only).
@@ -439,88 +435,66 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 			plan.nWidened++
 		}
 	}
+	// Each set is solved once per canonical key; its duplicates read the
+	// earliest one's outcome.
+	kt := newKeyTable(a.atoms, a.persist)
+	plan.keys = make([]string, len(sets))
+	plan.rowKeys = kt.exact
 	plan.slot = make([]int, len(sets))
 	plan.distinct = make([]int, 0, len(sets))
-	if a.Opts.DedupSets || a.persist {
-		kt := newKeyTable(a.atoms, a.persist)
-		plan.keys = make([]string, len(sets))
-		var ranks []int32
-		for i, set := range sets {
-			plan.keys[i], ranks = kt.setKey(set, ranks)
+	byKey := make(map[string]int, len(sets))
+	var ranks []int32
+	for i, set := range sets {
+		plan.keys[i], ranks = kt.setKey(set, ranks)
+		if k, hit := byKey[plan.keys[i]]; hit {
+			plan.slot[i] = k
+			plan.deduped++
+			continue
 		}
-		plan.rowKeys = kt.exact
-	}
-	if a.Opts.DedupSets {
-		byKey := make(map[string]int, len(sets))
-		for i := range sets {
-			if k, hit := byKey[plan.keys[i]]; hit {
-				plan.slot[i] = k
-				plan.deduped++
-			} else {
-				byKey[plan.keys[i]] = len(plan.distinct)
-				plan.slot[i] = len(plan.distinct)
-				plan.distinct = append(plan.distinct, i)
-			}
-		}
-	} else {
-		for i := range sets {
-			plan.slot[i] = i
-			plan.distinct = append(plan.distinct, i)
-		}
+		byKey[plan.keys[i]] = len(plan.distinct)
+		plan.slot[i] = len(plan.distinct)
+		plan.distinct = append(plan.distinct, i)
 	}
 
-	// The structural rows and each direction's objective extras were
-	// lowered once when the session was built; only the loop-bound rows
-	// depend on the annotations. The concatenation order (structural, loop
-	// bounds, extras) matches what a single Pack of the full row list
-	// produced before the session split, so solves see identical tableaux.
 	loops := ilp.Pack(a.LoopBoundConstraints())
 	if a.persist {
 		plan.loopKey = packedRowsKey(loops)
 	}
 	for di := range a.dirBases {
 		db := &a.dirBases[di]
-		prefix := make([]ilp.PackedRow, 0, len(a.packedStructural)+len(loops)+len(db.packedExtra))
-		prefix = append(prefix, a.packedStructural...)
-		prefix = append(prefix, loops...)
-		prefix = append(prefix, db.packedExtra...)
+		prefix := a.prefix(db, loops)
 		d := direction{sense: db.sense, obj: db.obj, prefix: prefix}
-		if a.persist {
-			d.keyPrefix = keyPrefix(di, plan.loopKey)
+		newBase := func() *warmBaseEntry {
+			// Certify needs the un-presolved base: the exact checker
+			// re-derives the warm tableau layout from the problem, which
+			// presolve row-elimination would obscure. The base optimum (and
+			// so every bound) is identical either way.
+			w := ilp.NewWarmStartOpts(&ilp.Problem{
+				Sense:     db.sense,
+				NumVars:   db.obj.nVars,
+				Objective: db.obj.coeffs,
+				Prefix:    prefix,
+			}, ilp.WarmOptions{DisablePresolve: a.Opts.Certify})
+			return &warmBaseEntry{warm: w, pivots: w.BasePivots()}
 		}
-		if a.Opts.WarmStart {
-			newBase := func() *warmBaseEntry {
-				// Certify needs the un-presolved base: the exact checker
-				// re-derives the warm tableau layout from the problem, which
-				// presolve row-elimination would obscure. The base optimum
-				// (and so every bound) is identical either way.
-				w := ilp.NewWarmStartOpts(&ilp.Problem{
-					Sense:     db.sense,
-					NumVars:   db.obj.nVars,
-					Objective: db.obj.coeffs,
-					Prefix:    prefix,
-				}, ilp.WarmOptions{DisablePresolve: a.Opts.Certify})
-				return &warmBaseEntry{warm: w, pivots: w.BasePivots()}
-			}
-			var entry *warmBaseEntry
-			var hit bool
-			if a.persist {
-				// Warm bases persist across Estimate calls keyed by the
-				// loop rows; only the call that builds one is charged.
-				entry, hit = a.baseCache.GetOrCompute(baseKey(di, plan.loopKey), newBase)
-			} else {
-				entry = newBase()
-			}
-			d.warm = entry.warm
-			if d.warm.Ready() {
-				d.warmRows = make([]warmRow, len(a.atoms))
-			}
-			if !hit {
-				plan.setup.charge(&solveResult{cold: true, stats: ilp.Stats{LPSolves: 1, Pivots: entry.pivots}})
-			}
+		var entry *warmBaseEntry
+		var hit bool
+		if a.persist {
+			// Warm bases persist across Estimate calls keyed by the loop
+			// rows; only the call that builds one is charged.
+			entry, hit = a.baseCache.GetOrCompute(cacheKey{dir: di, loop: plan.loopKey}, newBase)
+		} else {
+			entry = newBase()
+		}
+		d.warm = entry.warm
+		if d.warm.Ready() {
+			d.warmRows = make([]warmRow, len(a.atoms))
+		}
+		if !hit {
+			plan.setup.charge(&solveResult{cold: true, stats: ilp.Stats{LPSolves: 1, Pivots: entry.pivots}})
 		}
 		effDeadline, effBudget := a.effAnytime()
-		if d.warm != nil && d.warm.Ready() {
+		if d.warm.Ready() {
 			// The warm base already holds the relaxation envelope.
 			d.relax, d.relaxOK = d.warm.BaseObjective()
 		} else if effDeadline > 0 || effBudget > 0 {
@@ -546,6 +520,19 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 	return plan, true, nil
 }
 
+// prefix returns one direction's shared rows. The structural rows and the
+// objective's extras were lowered once when the session was built; only
+// the loop-bound rows depend on the annotations. The concatenation order
+// (structural, loop bounds, extras) matches what a single Pack of the full
+// row list produced before the session split, so solves see identical
+// tableaux.
+func (a *Analyzer) prefix(db *dirBase, loops []ilp.PackedRow) []ilp.PackedRow {
+	prefix := make([]ilp.PackedRow, 0, len(a.packedStructural)+len(loops)+len(db.packedExtra))
+	prefix = append(prefix, a.packedStructural...)
+	prefix = append(prefix, loops...)
+	return append(prefix, db.packedExtra...)
+}
+
 // problem materializes the full integer program of one set in one
 // direction: the shared prefix plus the set's rows in set order — the form
 // the cold solver and the certificate layer take.
@@ -569,13 +556,12 @@ func (p *solverPlan) problem(d *direction, set []int32) *ilp.Problem {
 // set's rows as written, so the key is order-sensitive: a scenario listing
 // the same rows in another order re-derives its own counts, keeping
 // reports bit-identical to the one-shot path.
-func (p *solverPlan) finishKey(d *direction, set []int32) string {
+func (p *solverPlan) finishKey(di int, set []int32) cacheKey {
 	var sb strings.Builder
-	sb.WriteString(d.keyPrefix)
 	for _, ai := range set {
 		sb.WriteString(p.rowKeys[ai])
 	}
-	return sb.String()
+	return cacheKey{dir: di, loop: p.loopKey, set: sb.String()}
 }
 
 // solveResult carries one (direction, set) ILP outcome to the reducer.
@@ -643,7 +629,7 @@ func (a *Analyzer) solveSet(ctx context.Context, plan *solverPlan, d *direction,
 	}
 
 	var r solveResult
-	if d.warm != nil && d.warm.Ready() {
+	if d.warm.Ready() {
 		// NoX: only the winner's counts are reported, and finishDir derives
 		// them in a finishing solve of its own, so no per-set solve needs
 		// the assignment materialized — integrality arrives precomputed in
@@ -919,9 +905,9 @@ func (a *Analyzer) reduceDir(est *Estimate, d *direction, plan *solverPlan, resu
 func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *solverPlan, best *BoundReport, win *solveResult) error {
 	d := &plan.dirs[di]
 	set := plan.sets[best.SetIndex]
-	var key string
+	var key cacheKey
 	if a.persist {
-		key = plan.finishKey(d, set)
+		key = plan.finishKey(di, set)
 	}
 	vals := win.values
 	if win.warm || win.cacheHit {
@@ -955,7 +941,7 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 // is false when the cold re-solve has to decide instead; the solve's work
 // is counted either way.
 func (a *Analyzer) warmFinish(est *Estimate, plan *solverPlan, d *direction, set []int32, cycles int64) (vals []float64, ok bool) {
-	if d.warm == nil || !d.warm.Ready() {
+	if !d.warm.Ready() {
 		return nil, false
 	}
 	var buf [16]*ilp.WarmRow
@@ -1024,7 +1010,6 @@ func (est *Estimate) charge(r *solveResult) {
 	est.Branches += r.stats.Branches
 	est.Stats.Pivots += r.stats.Pivots
 	est.Stats.SuspectPivots += r.stats.SuspectPivots
-	est.Stats.NetworkSolves += r.stats.NetworkSolves
 	est.Stats.RevisedPivots += r.stats.RevisedPivots
 	est.Stats.Refactorizations += r.stats.Refactorizations
 	est.Stats.CertFailures += r.certFailures
@@ -1262,7 +1247,7 @@ func (f *fanout) run(ctx context.Context, j int) (r solveResult) {
 	d, k := j/nd, j%nd
 	dir := &plan.dirs[d]
 	si := plan.distinct[k]
-	var key string
+	var key cacheKey
 	if a.persist {
 		// A prior Estimate on this session may have solved this exact
 		// (direction, loop rows, set region) already; its outcome is
@@ -1270,7 +1255,7 @@ func (f *fanout) run(ctx context.Context, j int) (r solveResult) {
 		// A certifying run only accepts hits that were certified when
 		// produced; an uncertified cached claim falls through to a fresh
 		// (certified) solve.
-		key = dir.keyPrefix + plan.keys[si]
+		key = cacheKey{dir: d, loop: plan.loopKey, set: plan.keys[si]}
 		if v, ok := a.solveCache.Get(key); ok && (!a.Opts.Certify || v.certified) {
 			r = solveResult{done: true, cacheHit: true, status: v.status, cycles: v.cycles, certified: v.certified}
 			r.stats.RootIntegral = v.rootIntegral

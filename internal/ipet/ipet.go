@@ -51,17 +51,6 @@ type Options struct {
 	// The result is deterministic — identical to Workers == 1 — at every
 	// setting, because jobs are reduced in set order after completion.
 	Workers int
-	// DedupSets canonicalizes each surviving conjunctive set (sorted,
-	// coefficient-normalized rows over the lowered ILP variables) and
-	// solves each distinct set once, fanning the result back out to its
-	// duplicates. Sets differing only in call-context rows lower to
-	// different variables and are never merged.
-	DedupSets bool
-	// WarmStart solves the shared structural system once per objective
-	// sense and re-solves each constraint set by dual simplex from that
-	// base optimum, with only the set's delta rows attached. Fractional
-	// roots and pathological pivots fall back to the cold solver.
-	WarmStart bool
 	// IncumbentPrune shares the best bound found so far across the solve
 	// pool and abandons any set whose LP relaxation proves it strictly
 	// worse than the incumbent (such sets report as incumbent-skipped in
@@ -112,8 +101,6 @@ func DefaultOptions() Options {
 		PruneNullSets:  true,
 		MaxSets:        4096,
 		MaxContexts:    10000,
-		DedupSets:      true,
-		WarmStart:      true,
 		IncumbentPrune: true,
 	}
 }

@@ -174,30 +174,28 @@ func TestParallelBenchmarksIdentical(t *testing.T) {
 }
 
 // TestMechanismTogglesIdentical is the correctness gate for the incremental
-// machinery on the 64-set path-explosion workload: every combination of
-// {set dedup, warm start, incumbent pruning}, at every worker count, must
-// produce a bound report bit-identical to the exhaustive cold sequential
-// solve (all mechanisms off, one worker).
+// machinery on the 64-set path-explosion workload: with incumbent pruning
+// on and off, at every worker count, the estimate (set dedup, warm starts,
+// winner finishing) must report exactly what the exhaustive reference
+// does.
 func TestMechanismTogglesIdentical(t *testing.T) {
 	src, annots := manySetProgram(6)
-	baseline := estimateOpts(t, src, annots, func(o *Options) {
-		o.Workers = 1
-		o.DedupSets, o.WarmStart, o.IncumbentPrune = false, false, false
-	})
-	if baseline.NumSets != 64 {
-		t.Fatalf("workload has %d sets, want 64", baseline.NumSets)
+	ref, err := analyzerWith(t, src, annots, nil).ExhaustiveEstimate()
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := reportOf(baseline)
-	for mask := 0; mask < 8; mask++ {
-		dedup, warm, prune := mask&1 != 0, mask&2 != 0, mask&4 != 0
+	if ref.NumSets != 64 {
+		t.Fatalf("workload has %d sets, want 64", ref.NumSets)
+	}
+	want := reportOf(ref)
+	for _, prune := range []bool{false, true} {
 		for _, workers := range []int{1, 3, 8} {
 			est := estimateOpts(t, src, annots, func(o *Options) {
-				o.Workers = workers
-				o.DedupSets, o.WarmStart, o.IncumbentPrune = dedup, warm, prune
+				o.Workers, o.IncumbentPrune = workers, prune
 			})
 			if got := reportOf(est); !reflect.DeepEqual(want, got) {
-				t.Errorf("dedup=%v warm=%v prune=%v workers=%d diverges:\nwant: %+v\ngot:  %+v",
-					dedup, warm, prune, workers, want, got)
+				t.Errorf("prune=%v workers=%d diverges:\nwant: %+v\ngot:  %+v",
+					prune, workers, want, got)
 			}
 		}
 	}
@@ -206,13 +204,14 @@ func TestMechanismTogglesIdentical(t *testing.T) {
 // TestPivotReduction is the performance gate of the incremental machinery:
 // on the 64-set workload, warm starts plus incumbent pruning must cut total
 // simplex pivots at least in half relative to the exhaustive cold path
-// (the PR-1 solver). Run sequentially so both counters are deterministic.
+// (ExhaustiveEstimate). Run sequentially so both counters are
+// deterministic.
 func TestPivotReduction(t *testing.T) {
 	src, annots := manySetProgram(6)
-	cold := estimateOpts(t, src, annots, func(o *Options) {
-		o.Workers = 1
-		o.DedupSets, o.WarmStart, o.IncumbentPrune = false, false, false
-	})
+	cold, err := analyzerWith(t, src, annots, nil).ExhaustiveEstimate()
+	if err != nil {
+		t.Fatal(err)
+	}
 	fast := estimateOpts(t, src, annots, func(o *Options) { o.Workers = 1 })
 	if !reflect.DeepEqual(reportOf(cold), reportOf(fast)) {
 		t.Fatalf("bounds diverge:\ncold: %+v\nfast: %+v", reportOf(cold), reportOf(fast))

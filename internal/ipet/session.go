@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,9 +83,9 @@ type Session struct {
 	// solver state across Estimate calls. Analyzers made by New leave it
 	// off so their per-call statistics stay those of a standalone run.
 	persist     bool
-	baseCache   *cache.Keyed[string, *warmBaseEntry]
-	solveCache  *cache.Keyed[string, cachedSolve]
-	finishCache *cache.Keyed[string, []float64]
+	baseCache   *cache.Keyed[cacheKey, *warmBaseEntry]
+	solveCache  *cache.Keyed[cacheKey, cachedSolve]
+	finishCache *cache.Keyed[cacheKey, []float64]
 
 	// totalsMu guards totals, the cumulative work ledger across every
 	// estimate this session has served. A long-lived service polls Totals
@@ -140,7 +139,6 @@ func (t *SessionTotals) accumulate(est *Estimate) {
 	s.WarmSolves += d.WarmSolves
 	s.ColdSolves += d.ColdSolves
 	s.Pivots += d.Pivots
-	s.NetworkSolves += d.NetworkSolves
 	s.RevisedPivots += d.RevisedPivots
 	s.Refactorizations += d.Refactorizations
 	s.CacheHits += d.CacheHits
@@ -190,6 +188,16 @@ type dirBase struct {
 	sense       ilp.Sense
 	obj         objective
 	packedExtra []ilp.PackedRow // the objective's extra rows, lowered once
+}
+
+// cacheKey identifies an entry of a prepared session's solver caches: the
+// direction, the loop-bound rows appended to the structural prefix
+// (packedRowsKey), and the set — its canonical key for a per-set outcome,
+// its rows in order for a winner's counts, empty for a warm base.
+type cacheKey struct {
+	dir  int
+	loop string
+	set  string
 }
 
 // warmBaseEntry caches one warm-start base tableau with the pivot work its
@@ -395,9 +403,9 @@ func newSession(prog *cfg.Program, root string, opts Options) (*Session, error) 
 	}); err != nil {
 		return nil, err
 	}
-	s.baseCache = cache.NewKeyed[string, *warmBaseEntry]()
-	s.solveCache = cache.NewKeyed[string, cachedSolve]()
-	s.finishCache = cache.NewKeyed[string, []float64]()
+	s.baseCache = cache.NewKeyed[cacheKey, *warmBaseEntry]()
+	s.solveCache = cache.NewKeyed[cacheKey, cachedSolve]()
+	s.finishCache = cache.NewKeyed[cacheKey, []float64]()
 	// Seed the ledger with the prepare-time artifact counters so a stats
 	// observer sees them alongside the solve counters.
 	s.totals.Stats.ArtifactHits = int(s.artifactHits)
@@ -596,10 +604,4 @@ func packedRowsKey(rows []ilp.PackedRow) string {
 		}
 	}
 	return sb.String()
-}
-
-// baseKey identifies a warm base: direction plus the exact loop-bound rows
-// appended to the structural prefix.
-func baseKey(di int, loopKey string) string {
-	return strconv.Itoa(di) + "|" + loopKey
 }

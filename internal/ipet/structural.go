@@ -20,8 +20,8 @@ func (a *Session) StructuralConstraints() []ilp.Constraint {
 
 // FlowConstraints is the flow-conservation slice of StructuralConstraints:
 // the per-context block/edge incidence rows plus the root entry row, without
-// the eq. 12 call-linkage rows. This slice is a network matrix — the shape
-// the solver's min-cost-flow kernel answers in polynomial time. The linkage
+// the eq. 12 call-linkage rows. This slice is a network matrix, whose LP
+// relaxation has an integral optimum (StructuralNetworkMatrix). The linkage
 // rows are excluded because each one gives its call-edge column a third
 // nonzero (the edge already appears in the caller's out-row and the return
 // successor's in-row), which takes the full interprocedural system off
