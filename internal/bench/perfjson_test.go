@@ -110,14 +110,24 @@ func perfWorkloads(t *testing.T) []estimateWorkload {
 	return workloads
 }
 
-// TestWriteEstimateBenchJSON measures steady-state Estimate cost on the
-// perf workloads and writes the rows to BENCH_estimate.json. The artifact
-// lands in $CINDERELLA_BENCH_JSON when set (CI and refresh runs),
-// otherwise in a temp dir. Each /incremental row must report the bounds of
-// the exhaustive reference (ipet.Analyzer.ExhaustiveEstimate), and on the
-// 64-set workload spend at most half its simplex pivots.
+// TestWriteEstimateBenchJSON checks the perf workloads and, when
+// $CINDERELLA_BENCH_JSON names an artifact path (CI and refresh runs),
+// measures their steady-state cost and writes the rows to it. Every run
+// checks, each on single Estimate calls: each /incremental row reports the
+// bounds of the exhaustive reference (ipet.Analyzer.ExhaustiveEstimate)
+// and, on the 64-set workload, spends at most half its simplex pivots;
+// each /certified row is certified, with no certificate failures, at the
+// bounds of its /incremental twin; the session rows' reports match the
+// one-shot path's at a third of its pivots (sessionRows); the prepare rows'
+// artifact-cache hits and misses are exact (prepareRows); and the rows
+// round-trip through the artifact schema (in a temp dir when no path is
+// set). Only a run that writes the artifact runs the timing loops and adds
+// the parametric and compile rows, whose own gates run elsewhere
+// (TestParametricSweepGate, TestEstimatePivotRegressionVsCommitted).
 func TestWriteEstimateBenchJSON(t *testing.T) {
-	if testing.Short() {
+	path := os.Getenv("CINDERELLA_BENCH_JSON")
+	timed := path != ""
+	if timed && testing.Short() {
 		t.Skip("runs timed benchmarks")
 	}
 	workloads := perfWorkloads(t)
@@ -132,21 +142,25 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 			}
 			refs[strings.TrimSuffix(w.name, "/incremental")] = ref
 		}
+		rec := EstimatePerf{Name: w.name}
 		var est *ipet.Estimate
-		res := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var err error
-				est, err = w.an.Estimate()
-				if err != nil {
-					b.Fatal(err)
+		if timed {
+			res := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					var err error
+					est, err = w.an.Estimate()
+					if err != nil {
+						b.Fatal(err)
+					}
 				}
+			})
+			rec.NsPerOp, rec.AllocsPerOp = float64(res.NsPerOp()), float64(res.AllocsPerOp())
+		} else {
+			var err error
+			if est, err = w.an.Estimate(); err != nil {
+				t.Fatal(err)
 			}
-		})
-		rec := EstimatePerf{
-			Name:        w.name,
-			NsPerOp:     float64(res.NsPerOp()),
-			AllocsPerOp: float64(res.AllocsPerOp()),
 		}
 		rec.FillFromEstimate(est)
 		recs = append(recs, rec)
@@ -181,13 +195,14 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 		}
 	}
 
-	recs = append(recs, sessionRows(t)...)
-	recs = append(recs, parametricRows(t)...)
-	recs = append(recs, prepareRows(t)...)
-	recs = append(recs, compileRows(t)...)
-
-	path := os.Getenv("CINDERELLA_BENCH_JSON")
-	if path == "" {
+	recs = append(recs, sessionRows(t, timed)...)
+	if timed {
+		recs = append(recs, parametricRows(t)...)
+	}
+	recs = append(recs, prepareRows(t, timed)...)
+	if timed {
+		recs = append(recs, compileRows(t)...)
+	} else {
 		path = filepath.Join(t.TempDir(), "BENCH_estimate.json")
 	}
 	if err := WriteEstimatePerfFile(path, recs); err != nil {
@@ -201,8 +216,8 @@ func TestWriteEstimateBenchJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatalf("artifact does not round-trip: %v", err)
 	}
-	if len(back) != len(recs) {
-		t.Fatalf("artifact has %d rows, want %d", len(back), len(recs))
+	if !reflect.DeepEqual(back, recs) {
+		t.Fatalf("artifact does not round-trip: read back %d rows, wrote %d", len(back), len(recs))
 	}
 	t.Logf("wrote %s (%d rows); explosion64 pivots exhaustive %d -> incremental %d",
 		path, len(recs), coldP, incrP)
@@ -326,13 +341,50 @@ func TestCertifiedResolveCauses(t *testing.T) {
 	}
 }
 
-// sessionRows measures the prepared-session workflow: one session estimates
+// TestCertifiedSingleSetWork: a certified estimate of a one-set Table I
+// program runs on the presolved warm bases of the uncertified one and
+// finishes its winners from the same solves, so at Workers=1 it spends
+// exactly the uncertified run's simplex pivots, warm solves and cold
+// solves; the exact layer adds checks, never solves.
+func TestCertifiedSingleSetWork(t *testing.T) {
+	single := 0
+	for _, bm := range All() {
+		run := func(certify bool) ipet.Stats {
+			opts := ipet.DefaultOptions()
+			opts.Workers = 1
+			opts.Certify = certify
+			bt, err := bm.Build(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bt.Est.Stats
+		}
+		plain := run(false)
+		if plain.SetsTotal != 1 {
+			continue
+		}
+		single++
+		cert := run(true)
+		if cert.Pivots != plain.Pivots || cert.WarmSolves != plain.WarmSolves || cert.ColdSolves != plain.ColdSolves {
+			t.Errorf("%s: certified %d pivots, %d warm, %d cold solves; uncertified %d, %d, %d",
+				bm.Name, cert.Pivots, cert.WarmSolves, cert.ColdSolves, plain.Pivots, plain.WarmSolves, plain.ColdSolves)
+		}
+		if cert.ExactResolves != 0 || cert.CertFailures != 0 {
+			t.Errorf("%s: certified run made %d exact re-solves, %d certificate failures", bm.Name, cert.ExactResolves, cert.CertFailures)
+		}
+	}
+	if single != 11 {
+		t.Errorf("%d one-set Table I programs, want 11", single)
+	}
+}
+
+// sessionRows checks the prepared-session workflow: one session estimates
 // a two-scenario rotation (the benchmark's annotations and a one-disjunct
 // perturbation) after warm-up, against the one-shot path that rebuilds an
-// Analyzer from the CFG for every query. The warm session call must be at
-// least 3x cheaper than the one-shot in both ns/op and simplex pivots, and
-// its BoundReports must be bit-identical to the one-shot's.
-func sessionRows(t *testing.T) []EstimatePerf {
+// Analyzer from the CFG for every query. The warm session's BoundReports
+// must be bit-identical to the one-shot's, at least 3x cheaper in simplex
+// pivots and, when timed, in ns/op.
+func sessionRows(t *testing.T, timed bool) []EstimatePerf {
 	t.Helper()
 	workloads, opts := sessionBenchWorkloads(t)
 	var rows []EstimatePerf
@@ -367,49 +419,44 @@ func sessionRows(t *testing.T) []EstimatePerf {
 				w.name, warmPivots, coldPivots)
 		}
 
-		sessRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ans[i%2].Estimate(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		oneRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				an, err := ipet.New(w.prog, w.root, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := an.Apply(files[i%2]); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := an.Estimate(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		if float64(sessRes.NsPerOp())*3 > float64(oneRes.NsPerOp()) {
-			t.Errorf("%s: warm session %d ns/op vs one-shot %d ns/op — want at least 3x",
-				w.name, sessRes.NsPerOp(), oneRes.NsPerOp())
-		}
-
-		oneRow := EstimatePerf{
-			Name:        w.name + "/oneshot",
-			NsPerOp:     float64(oneRes.NsPerOp()),
-			AllocsPerOp: float64(oneRes.AllocsPerOp()),
-		}
+		oneRow := EstimatePerf{Name: w.name + "/oneshot"}
 		oneRow.FillFromEstimate(ref[1])
-		sessRow := EstimatePerf{
-			Name:        w.name + "/session",
-			NsPerOp:     float64(sessRes.NsPerOp()),
-			AllocsPerOp: float64(sessRes.AllocsPerOp()),
-		}
+		sessRow := EstimatePerf{Name: w.name + "/session"}
 		sessRow.FillFromEstimate(warm[1])
+		if timed {
+			sessRes := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := ans[i%2].Estimate(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			oneRes := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					an, err := ipet.New(w.prog, w.root, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := an.Apply(files[i%2]); err != nil {
+						b.Fatal(err)
+					}
+					if _, err := an.Estimate(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if float64(sessRes.NsPerOp())*3 > float64(oneRes.NsPerOp()) {
+				t.Errorf("%s: warm session %d ns/op vs one-shot %d ns/op — want at least 3x",
+					w.name, sessRes.NsPerOp(), oneRes.NsPerOp())
+			}
+			oneRow.NsPerOp, oneRow.AllocsPerOp = float64(oneRes.NsPerOp()), float64(oneRes.AllocsPerOp())
+			sessRow.NsPerOp, sessRow.AllocsPerOp = float64(sessRes.NsPerOp()), float64(sessRes.AllocsPerOp())
+			t.Logf("%s: session %d ns/op vs one-shot %d ns/op", w.name, sessRes.NsPerOp(), oneRes.NsPerOp())
+		}
 		rows = append(rows, oneRow, sessRow)
-		t.Logf("%s: session %d ns/op %d pivots vs one-shot %d ns/op %d pivots",
-			w.name, sessRes.NsPerOp(), warmPivots, oneRes.NsPerOp(), coldPivots)
+		t.Logf("%s: session %d pivots vs one-shot %d pivots", w.name, warmPivots, coldPivots)
 	}
 	return rows
 }

@@ -102,30 +102,43 @@ func BenchmarkPrepareWarmed(b *testing.B) {
 	}
 }
 
-// prepareRows measures the cold and artifact-warm prepare pipeline on dhry
-// and the explosion chain, producing the prepare-cold / prepare-incremental
-// rows of BENCH_estimate.json.
-func prepareRows(t *testing.T) []EstimatePerf {
+// prepareRows checks the cold and artifact-warm prepare pipeline on dhry
+// and the explosion chain: a cold prepare after a cache reset misses every
+// artifact, and a warm one right after hits each of them. Timed, it
+// measures both, producing the prepare-cold / prepare-incremental rows of
+// BENCH_estimate.json.
+func prepareRows(t *testing.T, timed bool) []EstimatePerf {
 	t.Helper()
 	opts := ipet.DefaultOptions()
 	opts.Workers = 1
 	var rows []EstimatePerf
 	for _, w := range prepareWorkloads(t) {
-		var coldSess *ipet.Session
-		coldRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				prepcache.Default().Reset()
-				coldSess = runPrepare(b, w.exe, w.root, opts)
-			}
-		})
-		var warmSess *ipet.Session
-		warmRes := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				warmSess = runPrepare(b, w.exe, w.root, opts)
-			}
-		})
+		cold := EstimatePerf{Name: w.name + "/prepare-cold"}
+		warm := EstimatePerf{Name: w.name + "/prepare-incremental"}
+		var coldSess, warmSess *ipet.Session
+		if timed {
+			coldRes := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					prepcache.Default().Reset()
+					coldSess = runPrepare(b, w.exe, w.root, opts)
+				}
+			})
+			warmRes := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					warmSess = runPrepare(b, w.exe, w.root, opts)
+				}
+			})
+			cold.NsPerOp, cold.AllocsPerOp = float64(coldRes.NsPerOp()), float64(coldRes.AllocsPerOp())
+			warm.NsPerOp, warm.AllocsPerOp = float64(warmRes.NsPerOp()), float64(warmRes.AllocsPerOp())
+			t.Logf("%s: prepare cold %d ns/op (%d allocs) -> incremental %d ns/op (%d allocs)",
+				w.name, coldRes.NsPerOp(), coldRes.AllocsPerOp(), warmRes.NsPerOp(), warmRes.AllocsPerOp())
+		} else {
+			prepcache.Default().Reset()
+			coldSess = runPrepare(t, w.exe, w.root, opts)
+			warmSess = runPrepare(t, w.exe, w.root, opts)
+		}
 		ch, cm := coldSess.ArtifactStats()
 		wh, wm := warmSess.ArtifactStats()
 		if cm == 0 || ch != 0 {
@@ -134,23 +147,9 @@ func prepareRows(t *testing.T) []EstimatePerf {
 		if wm != 0 || wh != cm {
 			t.Errorf("%s: warm prepare saw %d hits, %d misses — want %d hits, 0 misses", w.name, wh, wm, cm)
 		}
-		cold := EstimatePerf{
-			Name:           w.name + "/prepare-cold",
-			NsPerOp:        float64(coldRes.NsPerOp()),
-			AllocsPerOp:    float64(coldRes.AllocsPerOp()),
-			ArtifactHits:   ch,
-			ArtifactMisses: cm,
-		}
-		warm := EstimatePerf{
-			Name:           w.name + "/prepare-incremental",
-			NsPerOp:        float64(warmRes.NsPerOp()),
-			AllocsPerOp:    float64(warmRes.AllocsPerOp()),
-			ArtifactHits:   wh,
-			ArtifactMisses: wm,
-		}
+		cold.ArtifactHits, cold.ArtifactMisses = ch, cm
+		warm.ArtifactHits, warm.ArtifactMisses = wh, wm
 		rows = append(rows, cold, warm)
-		t.Logf("%s: prepare cold %d ns/op (%d allocs) -> incremental %d ns/op (%d allocs)",
-			w.name, coldRes.NsPerOp(), coldRes.AllocsPerOp(), warmRes.NsPerOp(), warmRes.AllocsPerOp())
 	}
 	return rows
 }

@@ -1,13 +1,13 @@
 package ilp
 
 // DroppedDeltaRow reports how the warm path disposes of a per-set
-// constraint before it reaches the tableau: dropped (a constant row the
-// base trivially satisfies), infeasible (a constant row the base
-// contradicts — the solve reports Infeasible without building a tableau),
-// or neither (the row is lowered). Exported for the exact checker, which
-// must reproduce the warm standard form row for row; only meaningful for a
-// warm start running without a presolve, the only configuration that emits
-// certificates.
+// constraint before it reaches a tableau over the original variables:
+// dropped (a constant row the base trivially satisfies), infeasible (a
+// constant row the base contradicts — the solve reports Infeasible without
+// building a tableau), or neither (the row is lowered). Exported for the
+// exact checker, which must reproduce the warm standard form row for row.
+// It applies to a base the presolve could not reduce; under a presolve the
+// checker lowers delta rows through the replayed presolve record instead.
 func DroppedDeltaRow(c *Constraint) (dropped, infeasible bool) {
 	switch emptyRowFate(len(c.Coeffs), c.Rel, c.RHS) {
 	case rowRedundant:
@@ -44,4 +44,12 @@ type Certificate struct {
 	// ordered Prefix first, then Constraints (for Warm: base rows first,
 	// then the lowered delta rows).
 	Basis []int
+	// Presolve, on a warm certificate, is the record of the structural
+	// presolve the warm start ran under, nil when the base was not reduced.
+	// The basis then names columns of the reduced problem: the checker
+	// replays the record, checking each fact against its row, rebuilds the
+	// reduced base and delta rows from it, and checks the reconstructed
+	// point against every original row. The record is shared, read-only,
+	// by every certificate of its warm start.
+	Presolve *PresolveRecord
 }

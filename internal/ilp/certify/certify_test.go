@@ -127,51 +127,63 @@ func TestCertifyDensePath(t *testing.T) {
 	}
 }
 
-// TestCertifyWarmPath certifies warm dual-simplex solves: a presolve-free
-// warm start over a shared base, with per-set deltas covering <=, >= and =
-// (the = case exercises the pair-split lowering).
+// TestCertifyWarmPath certifies warm dual-simplex solves over a shared
+// base, with per-set deltas covering <=, >= and = (the = case exercises
+// the pair-split lowering): on box-only bases, which the structural
+// presolve cannot reduce, and on presolvable bases, whose certificates
+// name reduced columns and carry the presolve record. Each certificate is
+// verified both by Verify and by one WarmChecker per base, and its exact
+// objective must equal the exact optimum of the unreduced problem.
 func TestCertifyWarmPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ctx := context.Background()
-	certified := 0
-	for trial := 0; trial < 60; trial++ {
-		n := 3 + rng.Intn(3)
-		base := &ilp.Problem{
-			Sense: ilp.Sense(rng.Intn(2)), NumVars: n, Objective: map[int]float64{},
+	certified := map[bool]int{}
+	for trial := 0; trial < 120; trial++ {
+		reducible := trial%2 == 1
+		var base *ilp.Problem
+		if reducible {
+			base = presolvableBase(rng)
+		} else {
+			n := 3 + rng.Intn(3)
+			base = &ilp.Problem{
+				Sense: ilp.Sense(rng.Intn(2)), NumVars: n, Objective: map[int]float64{},
+			}
+			var baseRows []ilp.Constraint
+			for i := 0; i < n; i++ {
+				base.Objective[i] = float64(rng.Intn(9) - 3)
+				baseRows = append(baseRows, cn(map[int]float64{i: 1}, ilp.LE, float64(2+rng.Intn(6))))
+			}
+			base.Prefix = ilp.Pack(baseRows)
 		}
-		var baseRows []ilp.Constraint
-		for i := 0; i < n; i++ {
-			base.Objective[i] = float64(rng.Intn(9) - 3)
-			baseRows = append(baseRows, cn(map[int]float64{i: 1}, ilp.LE, float64(2+rng.Intn(6))))
-		}
-		base.Prefix = ilp.Pack(baseRows)
-		w := ilp.NewWarmStartOpts(base, ilp.WarmOptions{DisablePresolve: true})
+		w := ilp.NewWarmStart(base, nil)
 		if !w.Ready() {
 			t.Fatalf("trial %d: base not ready", trial)
 		}
+		if got := w.PresolveRecord() != nil; got != reducible {
+			t.Fatalf("trial %d: presolve record present = %v, want %v", trial, got, reducible)
+		}
+		checker, err := NewWarmChecker(base, w.PresolveRecord())
+		if err != nil {
+			t.Fatalf("trial %d: checker rejects the presolve record: %v", trial, err)
+		}
 		for s := 0; s < 4; s++ {
-			var set []ilp.Constraint
-			for r := 0; r < 1+rng.Intn(2); r++ {
-				coeffs := map[int]float64{}
-				for i := 0; i < n; i++ {
-					if rng.Intn(2) == 0 {
-						coeffs[i] = float64(rng.Intn(5) - 2)
-					}
-				}
-				set = append(set, cn(coeffs, ilp.Relation(rng.Intn(3)), float64(rng.Intn(9)-2)))
-			}
+			set := randomDelta(rng, base.NumVars)
 			r := w.SolveSetOpts(set, ilp.SetSolveOptions{WantCert: true})
 			if !r.OK || r.Status != ilp.Optimal || r.Cert == nil {
 				continue
 			}
-			certified++
+			certified[reducible]++
 			full := &ilp.Problem{
-				Sense: base.Sense, NumVars: n, Objective: base.Objective,
+				Sense: base.Sense, NumVars: base.NumVars, Objective: base.Objective,
 				Prefix: base.Prefix, Constraints: set,
 			}
 			res, err := Verify(full, r.Cert)
 			if err != nil {
 				t.Fatalf("trial %d set %d: warm certificate rejected: %v\n%s", trial, s, err, full)
+			}
+			viaChecker, err := checker.Verify(full, r.Cert)
+			if err != nil || viaChecker.Objective.Cmp(res.Objective) != 0 {
+				t.Fatalf("trial %d set %d: checker gives %v, %v; Verify %s", trial, s, viaChecker, err, res.Objective.RatString())
 			}
 			got, _ := res.Objective.Float64()
 			if math.Abs(got-r.Objective) > 1e-6 {
@@ -187,8 +199,10 @@ func TestCertifyWarmPath(t *testing.T) {
 			}
 		}
 	}
-	if certified < 20 {
-		t.Fatalf("only %d warm certificates exercised", certified)
+	for _, reducible := range []bool{false, true} {
+		if certified[reducible] < 20 {
+			t.Fatalf("only %d warm certificates exercised (presolved %v)", certified[reducible], reducible)
+		}
 	}
 }
 

@@ -13,16 +13,16 @@
 // The checker never trusts solver-computed numbers: it rebuilds the
 // standard form itself from the Problem using the same deterministic
 // lowering the solver used (cold two-phase layout or warm delta layout,
-// per Certificate.Warm), takes only the basis column indices from the
-// certificate, and derives the basic solution, the dual prices and every
-// reduced cost exactly. A verified certificate is a proof: the basic
-// solution is feasible for the original rows, and weak duality over the
-// exactly-nonpositive reduced costs shows no feasible point does better.
+// per Certificate.Warm, the warm one in the space of the replayed
+// structural presolve when the certificate carries its record), takes only
+// the basis column indices from the certificate, and derives the basic
+// solution, the dual prices and every reduced cost exactly. A verified
+// certificate is a proof: the basic solution is feasible for the original
+// rows, and weak duality over the exactly-nonpositive reduced costs shows
+// no feasible point does better.
 package certify
 
 import (
-	"fmt"
-
 	"cinderella/internal/ilp"
 )
 
@@ -35,8 +35,9 @@ type stdRow struct {
 
 // stdForm is the exact standard form of a Problem under one of the two
 // deterministic lowerings of the float64 solvers. Columns are: the n real
-// variables, then slack/surplus columns, then artificial columns (cold
-// layout), then — warm layout only — one fresh slack per lowered delta row.
+// variables (under a presolve, the reduced ones), then slack/surplus
+// columns, then artificial columns (cold layout), then — warm layout only —
+// one fresh slack per lowered delta row.
 type stdForm struct {
 	n     int // real columns
 	total int // all columns
@@ -69,26 +70,78 @@ func normRel(rel ilp.Relation, rhs float64) (ilp.Relation, bool) {
 	return rel, true
 }
 
-// coldForm rebuilds the cold two-phase standard form of p exactly: Prefix
-// rows as packed (already normalized), Constraints sign-normalized, one
-// slack per <=, surplus+artificial per >=, artificial per =, columns
-// assigned in row order exactly as the sparse and dense kernels do.
-func coldForm(p *ilp.Problem) *stdForm {
-	n := p.NumVars
-	m := len(p.Prefix) + len(p.Constraints)
-	rels := make([]ilp.Relation, m)
-	nnz, numSlack, numArt := 0, 0, 0
+// exactRow is one sign-normalized constraint row (rhs >= 0) in exact
+// arithmetic, before the cold layout adds its auxiliary columns.
+type exactRow struct {
+	cols []int
+	vals []num
+	rel  ilp.Relation
+	rhs  num
+}
+
+// coldForm rebuilds the cold two-phase standard form of p exactly.
+func coldForm(p *ilp.Problem) *stdForm { return layoutCold(p.NumVars, coldRows(p)) }
+
+// coldRows converts p's rows exactly: Prefix rows as packed (already
+// normalized), Constraints sign-normalized.
+func coldRows(p *ilp.Problem) []exactRow {
+	nnz := 0
 	for i := range p.Prefix {
-		rels[i] = p.Prefix[i].Rel
 		nnz += len(p.Prefix[i].Cols)
 	}
 	for i := range p.Constraints {
-		c := &p.Constraints[i]
-		rels[len(p.Prefix)+i], _ = normRel(c.Rel, c.RHS)
-		nnz += len(c.Coeffs)
+		nnz += len(p.Constraints[i].Coeffs)
 	}
-	for _, rel := range rels {
-		switch rel {
+	rows := make([]exactRow, 0, len(p.Prefix)+len(p.Constraints))
+	cols := make([]int, 0, nnz)
+	vals := make([]num, 0, nnz)
+	for i := range p.Prefix {
+		r := &p.Prefix[i]
+		lo := len(cols)
+		for k, col := range r.Cols {
+			cols = append(cols, int(col))
+			vals = append(vals, numFloat(r.Vals[k]))
+		}
+		hi := len(cols)
+		rows = append(rows, exactRow{cols: cols[lo:hi:hi], vals: vals[lo:hi:hi], rel: r.Rel, rhs: numFloat(r.RHS)})
+	}
+	for i := range p.Constraints {
+		c := &p.Constraints[i]
+		rel, neg := normRel(c.Rel, c.RHS)
+		rhs := numFloat(c.RHS)
+		if neg {
+			rhs = rhs.neg()
+		}
+		lo := len(cols)
+		// Sorted columns keep the row's sparse form deterministic; the
+		// column assignment depends only on the relation.
+		for _, j := range sortedCols(c.Coeffs) {
+			v := c.Coeffs[j]
+			if v == 0 {
+				continue
+			}
+			if neg {
+				v = -v
+			}
+			cols = append(cols, j)
+			vals = append(vals, numFloat(v))
+		}
+		hi := len(cols)
+		rows = append(rows, exactRow{cols: cols[lo:hi:hi], vals: vals[lo:hi:hi], rel: rel, rhs: rhs})
+	}
+	return rows
+}
+
+// layoutCold lays n real columns and the given rows out in the cold
+// two-phase standard form: one slack per <=, surplus+artificial per >=,
+// artificial per =, columns assigned in row order exactly as the sparse
+// and dense kernels do.
+func layoutCold(n int, rows []exactRow) *stdForm {
+	m := len(rows)
+	nnz, numSlack, numArt := 0, 0, 0
+	for i := range rows {
+		nnz += len(rows[i].cols)
+		switch rows[i].rel {
 		case ilp.LE:
 			numSlack++
 		case ilp.GE:
@@ -117,38 +170,11 @@ func coldForm(p *ilp.Problem) *stdForm {
 	vals := make([]num, 0, nnz+numSlack+numArt)
 	slackCol, artCol := n, n+numSlack
 	one, negOne := numInt(1), numInt(-1)
-	for i := range rels {
+	for i := range rows {
 		lo := len(cols)
-		var rhs num
-		if i < len(p.Prefix) {
-			r := &p.Prefix[i]
-			rhs = numFloat(r.RHS)
-			for k, col := range r.Cols {
-				cols = append(cols, int(col))
-				vals = append(vals, numFloat(r.Vals[k]))
-			}
-		} else {
-			c := &p.Constraints[i-len(p.Prefix)]
-			_, neg := normRel(c.Rel, c.RHS)
-			rhs = numFloat(c.RHS)
-			if neg {
-				rhs = rhs.neg()
-			}
-			// Sorted columns keep the row's sparse form deterministic; the
-			// column assignment below depends only on the relation.
-			for _, j := range sortedCols(c.Coeffs) {
-				v := c.Coeffs[j]
-				if v == 0 {
-					continue
-				}
-				if neg {
-					v = -v
-				}
-				cols = append(cols, j)
-				vals = append(vals, numFloat(v))
-			}
-		}
-		switch rels[i] {
+		cols = append(cols, rows[i].cols...)
+		vals = append(vals, rows[i].vals...)
+		switch rows[i].rel {
 		case ilp.LE:
 			cols = append(cols, slackCol)
 			vals = append(vals, one)
@@ -167,72 +193,9 @@ func coldForm(p *ilp.Problem) *stdForm {
 			artCol++
 		}
 		hi := len(cols)
-		sf.rows[i] = stdRow{cols: cols[lo:hi:hi], vals: vals[lo:hi:hi], rhs: rhs}
+		sf.rows[i] = stdRow{cols: cols[lo:hi:hi], vals: vals[lo:hi:hi], rhs: rows[i].rhs}
 	}
 	return sf
-}
-
-// warmForm rebuilds the warm-path standard form: the base (Prefix rows
-// only) lowered cold, then each per-set constraint lowered to <= rows each
-// carried by one fresh slack — >= negated, = split into a <=/>= pair, no
-// sign normalization — with constant rows the base trivially satisfies
-// dropped, exactly as the warm per-set solves do. Returns an error when a
-// constant row is a contradiction: such a set reports Infeasible without a
-// tableau and can never have produced a certificate.
-func warmForm(p *ilp.Problem) (*stdForm, error) {
-	sf := coldForm(&ilp.Problem{
-		Sense:     p.Sense,
-		NumVars:   p.NumVars,
-		Objective: p.Objective,
-		Prefix:    p.Prefix,
-	})
-	one := numInt(1)
-	lower := func(c *ilp.Constraint, negate bool) {
-		cols := sortedCols(c.Coeffs)
-		row := stdRow{rhs: numFloat(c.RHS), vals: make([]num, 0, len(cols)+1)}
-		if negate {
-			row.rhs = row.rhs.neg()
-		}
-		n := 0
-		for _, j := range cols {
-			v := c.Coeffs[j]
-			if v == 0 {
-				continue
-			}
-			if negate {
-				v = -v
-			}
-			cols[n] = j
-			n++
-			row.vals = append(row.vals, numFloat(v))
-		}
-		row.cols = append(cols[:n], sf.total)
-		row.vals = append(row.vals, one)
-		sf.rows = append(sf.rows, row)
-		sf.isArt = append(sf.isArt, false)
-		sf.total++
-		sf.m++
-	}
-	for i := range p.Constraints {
-		c := &p.Constraints[i]
-		dropped, infeasible := ilp.DroppedDeltaRow(c)
-		if infeasible {
-			return nil, fmt.Errorf("certify: set constraint %d is a constant contradiction; the warm path cannot have certified it", i)
-		}
-		if dropped {
-			continue
-		}
-		switch c.Rel {
-		case ilp.LE:
-			lower(c, false)
-		case ilp.GE:
-			lower(c, true)
-		case ilp.EQ:
-			lower(c, false)
-			lower(c, true)
-		}
-	}
-	return sf, nil
 }
 
 func sortedCols(coeffs map[int]float64) []int {
@@ -251,10 +214,10 @@ func sortedCols(coeffs map[int]float64) []int {
 }
 
 // internalObj is the objective in the solver's internal maximization sense
-// over standard-form columns: sign * Objective on real columns, zero on
-// auxiliary ones.
-func internalObj(p *ilp.Problem, total int) []num {
-	c := make([]num, total)
+// over the first size standard-form columns: sign * Objective on real
+// columns, zero on auxiliary ones.
+func internalObj(p *ilp.Problem, size int) []num {
+	c := make([]num, size)
 	neg := p.Sense == ilp.Minimize
 	for j, v := range p.Objective {
 		c[j] = numFloat(v)

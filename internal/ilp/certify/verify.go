@@ -7,14 +7,25 @@ import (
 	"cinderella/internal/ilp"
 )
 
-// Result is the exact account of a verified certificate or an exact solve:
-// the optimum in the problem's own sense and the optimal assignment, both
-// as rationals (integral rationals whenever the problem is integer).
+// Result is the exact account of a verified certificate: the optimum in
+// the problem's own sense and the optimal assignment, both exact.
 type Result struct {
 	// Objective is the exact optimum value.
 	Objective *big.Rat
-	// X is the exact optimal assignment over the real variables.
-	X []*big.Rat
+	x         []num // the exact optimal assignment over the real variables
+}
+
+// Ints returns the optimal assignment as integers; ok is false when an
+// entry is not an integer that fits an int64.
+func (r *Result) Ints() (x []int64, ok bool) {
+	x = make([]int64, len(r.x))
+	for j, v := range r.x {
+		if v.r != nil || v.d != 0 {
+			return nil, false
+		}
+		x[j] = v.p
+	}
+	return x, true
 }
 
 // Verify checks cert against p in exact rational arithmetic and returns
@@ -35,9 +46,11 @@ type Result struct {
 //
 // Verify rebuilds the standard form from p itself (cold or warm lowering
 // per cert.Warm); the certificate contributes only the basis column
-// indices, so it cannot misrepresent the feasible region. The basic
-// solution and the dual prices come from two sparse exact solves, one on
-// B and one on Bᵀ (solveSparse), in num arithmetic.
+// indices, so it cannot misrepresent the feasible region. A warm
+// certificate is checked by a WarmChecker over p's base built for this one
+// call; callers checking many claims on one base build the checker once.
+// The basic solution and the dual prices come from two sparse exact
+// solves, one on B and one on Bᵀ (solveSparse), in num arithmetic.
 func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 	if cert == nil {
 		return nil, fmt.Errorf("certify: no certificate")
@@ -45,29 +58,50 @@ func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	var (
-		sf  *stdForm
-		err error
-	)
 	if cert.Warm {
-		sf, err = warmForm(p)
-	} else {
-		sf = coldForm(p)
+		c, err := NewWarmChecker(&ilp.Problem{
+			Sense: p.Sense, NumVars: p.NumVars, Objective: p.Objective, Prefix: p.Prefix,
+		}, cert.Presolve)
+		if err != nil {
+			return nil, err
+		}
+		return c.verify(p, cert)
 	}
+	sf := coldForm(p)
+	xB, err := checkBasis(sf, cert.Basis, internalObj(p, sf.n))
 	if err != nil {
 		return nil, err
 	}
+	x := make([]num, sf.n)
+	for i, j := range cert.Basis {
+		if j < sf.n {
+			x[j] = xB[i]
+		}
+	}
+	if err := checkPoint(p, x); err != nil {
+		return nil, err
+	}
+	return result(p, x), nil
+}
+
+// checkBasis checks that basis names an optimal basis of sf: it is
+// well-formed, its matrix is nonsingular, its basic solution is
+// nonnegative, and no admissible nonbasic column has a positive reduced
+// cost under the objective c over sf's real columns (internal maximization
+// sense; auxiliary columns cost nothing). It returns the basic solution,
+// xB[i] the value of column basis[i].
+func checkBasis(sf *stdForm, basis []int, c []num) ([]num, error) {
 	if sf.m == 0 {
 		return nil, fmt.Errorf("certify: problem has no rows; no basis to check")
 	}
-	if len(cert.Basis) != sf.m {
-		return nil, fmt.Errorf("certify: basis names %d rows, standard form has %d", len(cert.Basis), sf.m)
+	if len(basis) != sf.m {
+		return nil, fmt.Errorf("certify: basis names %d rows, standard form has %d", len(basis), sf.m)
 	}
 	pos := make([]int, sf.total) // column -> basis position, -1 when nonbasic
 	for j := range pos {
 		pos[j] = -1
 	}
-	for i, j := range cert.Basis {
+	for i, j := range basis {
 		if j < 0 || j >= sf.total {
 			return nil, fmt.Errorf("certify: basis column %d out of range [0,%d)", j, sf.total)
 		}
@@ -77,9 +111,9 @@ func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 		pos[j] = i
 	}
 
-	// The basis matrix B (column i = standard-form column cert.Basis[i])
-	// and its transpose, both sparse, and the right-hand side. Both copies
-	// are built up front: solveSparse consumes its matrix.
+	// The basis matrix B (column i = standard-form column basis[i]) and its
+	// transpose, both sparse, and the right-hand side. Both copies are
+	// built up front: solveSparse consumes its matrix.
 	B, Bt := basisMatrices(sf, pos)
 	b := make([]num, sf.m)
 	for r := range sf.rows {
@@ -91,35 +125,21 @@ func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 	}
 	for i, v := range xB {
 		if v.sign() < 0 {
-			return nil, fmt.Errorf("certify: basic variable for column %d is negative (%s)", cert.Basis[i], v)
-		}
-	}
-
-	// The real-variable assignment, and its exact feasibility against the
-	// original rows. This is load-bearing, not belt-and-braces: a leftover
-	// artificial basic at a nonzero value satisfies the standard form but
-	// not the original row it patches.
-	x := make([]num, sf.n)
-	for i, j := range cert.Basis {
-		if j < sf.n {
-			x[j] = xB[i]
-		}
-	}
-	if err := checkOriginalRows(p, x); err != nil {
-		return nil, err
-	}
-	if p.Integer {
-		if err := checkIntegral(x); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("certify: basic variable for column %d is negative (%s)", basis[i], v)
 		}
 	}
 
 	// Dual prices y solve Bᵀy = c_B; reduced costs must be nonpositive on
 	// every admissible (non-artificial) nonbasic column.
-	cInt := internalObj(p, sf.total)
+	cost := func(j int) num {
+		if j < len(c) {
+			return c[j]
+		}
+		return num{}
+	}
 	cB := make([]num, sf.m)
 	for r := range cB {
-		cB[r] = cInt[cert.Basis[r]]
+		cB[r] = cost(basis[r])
 	}
 	y, ok := solveSparse(Bt, cB)
 	if !ok {
@@ -138,11 +158,26 @@ func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 		if sf.isArt[j] || pos[j] >= 0 {
 			continue
 		}
-		if cmp(cInt[j], yA[j]) > 0 {
-			return nil, fmt.Errorf("certify: nonbasic column %d has positive reduced cost %s; basis is not optimal", j, sub(cInt[j], yA[j]))
+		if cj := cost(j); cmp(cj, yA[j]) > 0 {
+			return nil, fmt.Errorf("certify: nonbasic column %d has positive reduced cost %s; basis is not optimal", j, sub(cj, yA[j]))
 		}
 	}
-	return result(p, x), nil
+	return xB, nil
+}
+
+// checkPoint verifies that x is a feasible point of p — nonnegative, every
+// original row satisfied — and, for an Integer problem, integral. This is
+// load-bearing, not belt-and-braces: a leftover artificial basic at a
+// nonzero value satisfies the standard form but not the original row it
+// patches, and under a presolve the standard form is the reduced problem.
+func checkPoint(p *ilp.Problem, x []num) error {
+	if err := checkOriginalRows(p, x); err != nil {
+		return err
+	}
+	if p.Integer {
+		return checkIntegral(x)
+	}
+	return nil
 }
 
 // basisMatrices returns the rows of the basis matrix B, whose column i is
@@ -187,19 +222,14 @@ func basisMatrices(sf *stdForm, pos []int) (B, Bt []sparseRow) {
 	return B, Bt
 }
 
-// result packages a checked assignment as a Result: the objective in the
-// problem's own sense and the assignment, as big.Rat.
+// result packages a checked assignment as a Result, with the objective in
+// the problem's own sense.
 func result(p *ilp.Problem, x []num) *Result {
 	var obj num
 	for j, v := range p.Objective {
 		obj = add(obj, mul(numFloat(v), x[j]))
 	}
-	res := &Result{Objective: obj.rat(), X: make([]*big.Rat, len(x))}
-	backing := make([]big.Rat, len(x))
-	for j, v := range x {
-		res.X[j] = v.setRat(&backing[j])
-	}
-	return res
+	return &Result{Objective: obj.rat(), x: x}
 }
 
 // checkIntegral verifies that every entry of x is an integer.

@@ -59,6 +59,12 @@ func Pack(cs []Constraint) []PackedRow {
 
 func packOne(r PackedRow) PackedRow {
 	sort.Sort(&r)
+	return normalizeSign(r)
+}
+
+// normalizeSign negates a row with a negative right-hand side, flipping
+// LE and GE, so that RHS >= 0.
+func normalizeSign(r PackedRow) PackedRow {
 	if r.RHS < 0 {
 		for k := range r.Vals {
 			r.Vals[k] = -r.Vals[k]

@@ -3,6 +3,7 @@ package ilp
 import (
 	"math"
 	"slices"
+	"sync"
 )
 
 // Structural presolve for the shared base problem of a warm start. The
@@ -19,9 +20,73 @@ import (
 // objective value, and vice versa. The warm path re-derives nothing — a
 // reduced solve plus reconstruct answers the original problem — and the
 // SetSelfCheck differential replays reduced solves against the unreduced
-// cold solver, so a presolve defect cannot pass silently.
+// cold solver, so a presolve defect cannot pass silently. The derivation
+// itself is kept as a PresolveRecord, from which package certify rebuilds
+// the reduced problem exactly and checks warm certificates in it.
 
-// presolved maps between an original base problem and its reduced form.
+// PresolveKind is the rule behind one presolve fact.
+type PresolveKind uint8
+
+const (
+	// PresolveFix: the row is an equality and, with every earlier fact
+	// substituted, has one variable class left, which it fixes to a value.
+	PresolveFix PresolveKind = iota
+	// PresolveMerge: the row is an equality that reduces to c·x − c·y = 0,
+	// so the classes of x and y are equal.
+	PresolveMerge
+	// PresolveZero: the row reduces to a sum of same-signed terms bounded
+	// by zero (= 0, or ≤ 0 with positive terms, or ≥ 0 with negative ones)
+	// over nonnegative variables, so every class it names is zero.
+	PresolveZero
+)
+
+// PresolveFact is one fact of a presolve derivation, with the base row that
+// implies it given the facts before it.
+type PresolveFact struct {
+	Kind PresolveKind
+	// Row indexes the base (Prefix) row that implies the fact.
+	Row int32
+	// Var is a variable of the fixed class (PresolveFix) or of one merged
+	// class (PresolveMerge); With is a variable of the other merged class.
+	Var, With int32
+	// Value is the float64 value the presolve fixed Var's class at
+	// (PresolveFix only).
+	Value float64
+}
+
+// PresolveRecord is the derivation behind one structural presolve: the
+// facts in the order they were derived, and the base row each reduced row
+// was lowered from. It is shared and read-only; warm certificates point to
+// it (Certificate.Presolve) so an exact checker can replay the facts, each
+// from its row, and rebuild the reduced base from the named rows, without
+// taking any number from the float64 presolve.
+type PresolveRecord struct {
+	// NumVars is the variable count of the base the presolve ran on.
+	NumVars int
+	Facts   []PresolveFact
+	// Rows[i] is the base row reduced row i was lowered from. Rows the
+	// facts satisfy outright, and later rows that lower to the same
+	// reduced row as an earlier one, are not named.
+	Rows []int32
+}
+
+// Presolve is the structural presolve of one base row set. It depends on
+// the rows and the variable count only, never on an objective, so the two
+// directions of an analysis whose base rows agree share one (NewWarmStart).
+// A Presolve is read-only after NewPresolve.
+type Presolve struct {
+	red        *presolved // nil when nothing could be eliminated
+	infeasible bool       // the rows contradict each other
+}
+
+// NewPresolve runs the structural presolve over the base rows of a
+// numVars-variable problem.
+func NewPresolve(prefix []PackedRow, numVars int) *Presolve {
+	red, infeasible := presolveRows(prefix, numVars)
+	return &Presolve{red: red, infeasible: infeasible}
+}
+
+// presolved maps between an original base row set and its reduced form.
 type presolved struct {
 	n    int // original variable count
 	nRed int // reduced variable count
@@ -29,12 +94,9 @@ type presolved struct {
 	// fixed; fixed[v] holds the value in that case.
 	col   []int32
 	fixed []float64
-	// rows is the reduced base, obj/objOffset the reduced objective: the
-	// original objective equals reduced(x') + objOffset at corresponding
-	// points.
-	rows      []PackedRow
-	obj       map[int]float64
-	objOffset float64
+	// rows is the reduced base.
+	rows []PackedRow
+	rec  *PresolveRecord
 }
 
 // rowFate classifies a delta row after substitution.
@@ -46,32 +108,129 @@ const (
 	rowInfeasible
 )
 
-// presolveBase derives the substitution implied by the base's structural
-// rows. It returns nil when no variable can be eliminated (the reduction
-// would be a plain copy); infeasible reports a contradiction among the
-// rows, in which case the returned reduction is nil and the base problem
-// has no feasible point.
-func presolveBase(p *Problem) (red *presolved, infeasible bool) {
-	n := p.NumVars
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+// presolveScratch is the pooled working memory of one presolve: the
+// class forest, the dense row accumulator and the row worklist. Nothing in
+// it outlives the call.
+type presolveScratch struct {
+	parent, next, size []int32 // union-find forest; next links each class's members in a ring
+	hasVal             []bool
+	val                []float64
+	acc                []float64 // dense accumulator, by class root or reduced column
+	stamp              []int32   // stamp[j] == cur marks j as touched by the current row
+	cur                int32
+	touched            []int32
+	varRows            []int32 // rows of variable v: varRows[varStart[v]:varStart[v+1]]
+	varStart           []int32
+	queue              []int32
+	queued             []bool
+	rootCol            []int32
+	facts              []PresolveFact
+	seen               map[uint64]int32
+}
+
+var presolvePool = sync.Pool{New: func() any { return new(presolveScratch) }}
+
+// begin starts a fresh touched set for one row.
+func (ps *presolveScratch) begin() {
+	ps.cur++
+	if ps.cur == math.MaxInt32 {
+		clear(ps.stamp)
+		ps.cur = 1
 	}
-	var find func(int) int
-	find = func(v int) int {
-		for parent[v] != v {
-			parent[v] = parent[parent[v]]
-			v = parent[v]
+	ps.touched = ps.touched[:0]
+}
+
+// add accumulates v into entry j of the current row.
+func (ps *presolveScratch) add(j int32, v float64) {
+	if ps.stamp[j] != ps.cur {
+		ps.stamp[j] = ps.cur
+		ps.acc[j] = 0
+		ps.touched = append(ps.touched, j)
+	}
+	ps.acc[j] += v
+}
+
+func (ps *presolveScratch) find(v int32) int32 {
+	p := ps.parent
+	for p[v] != v {
+		p[v] = p[p[v]]
+		v = p[v]
+	}
+	return v
+}
+
+// presolveRows derives the substitution implied by the base rows. It
+// returns nil when no variable can be eliminated (the reduction would be a
+// plain copy) or every variable is fixed; infeasible reports a
+// contradiction among the rows, in which case the returned reduction is
+// nil and the base problem has no feasible point.
+func presolveRows(prefix []PackedRow, n int) (red *presolved, infeasible bool) {
+	ps := presolvePool.Get().(*presolveScratch)
+	defer presolvePool.Put(ps)
+	m := len(prefix)
+	ps.parent = growI32(ps.parent, n)
+	ps.next = growI32(ps.next, n)
+	ps.size = growI32(ps.size, n)
+	ps.hasVal = growBool(ps.hasVal, n)
+	ps.val = growF64(ps.val, n)
+	ps.acc = growF64(ps.acc, n)
+	ps.stamp = growI32(ps.stamp, n)
+	ps.varStart = growI32(ps.varStart, n+1)
+	ps.queued = growBool(ps.queued, m)
+	clear(ps.stamp)
+	clear(ps.hasVal)
+	clear(ps.varStart)
+	clear(ps.queued)
+	ps.cur = 0
+	ps.facts = ps.facts[:0]
+	for v := range ps.parent {
+		ps.parent[v], ps.next[v], ps.size[v] = int32(v), int32(v), 1
+	}
+
+	// Index the rows of each variable, so a fact re-examines only the rows
+	// it can change.
+	nnz := 0
+	for ri := range prefix {
+		for _, cv := range prefix[ri].Cols {
+			ps.varStart[cv+1]++
 		}
-		return v
+		nnz += len(prefix[ri].Cols)
 	}
-	hasVal := make([]bool, n)
-	val := make([]float64, n)
+	for v := 0; v < n; v++ {
+		ps.varStart[v+1] += ps.varStart[v]
+	}
+	ps.varRows = growI32(ps.varRows, nnz)
+	ps.rootCol = growI32(ps.rootCol, n)
+	fill := ps.rootCol // each variable's next free slot; rootCol is free until the columns are assigned
+	copy(fill, ps.varStart[:n])
+	for ri := range prefix {
+		for _, cv := range prefix[ri].Cols {
+			ps.varRows[fill[cv]] = int32(ri)
+			fill[cv]++
+		}
+	}
 
 	bad := false
-	changed := false
-	fix := func(v int, x float64) {
-		r := find(v)
+	// enqueue re-examines every row of variable v.
+	enqueue := func(v int32) {
+		for _, ri := range ps.varRows[ps.varStart[v]:ps.varStart[v+1]] {
+			if !ps.queued[ri] {
+				ps.queued[ri] = true
+				ps.queue = append(ps.queue, ri)
+			}
+		}
+	}
+	// enqueueClass re-examines every row of every member of r's class.
+	enqueueClass := func(r int32) {
+		v := r
+		for {
+			enqueue(v)
+			if v = ps.next[v]; v == r {
+				return
+			}
+		}
+	}
+	fix := func(r int32, x float64) {
 		if x < 0 {
 			if x < -presolveTol {
 				bad = true
@@ -79,236 +238,252 @@ func presolveBase(p *Problem) (red *presolved, infeasible bool) {
 			}
 			x = 0
 		}
-		if hasVal[r] {
-			if math.Abs(val[r]-x) > presolveTol {
-				bad = true
-			}
-			return
-		}
-		hasVal[r], val[r] = true, x
-		changed = true
+		ps.hasVal[r], ps.val[r] = true, x
+		enqueueClass(r)
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra == rb {
-			return
+	union := func(ra, rb int32) {
+		// Only rows naming both classes change shape; each of them names
+		// a member of the smaller class.
+		small := ra
+		if ps.size[rb] < ps.size[ra] {
+			small = rb
 		}
+		enqueueClass(small)
 		// Merge the higher-numbered root into the lower so class
 		// representatives are deterministic.
 		if ra > rb {
 			ra, rb = rb, ra
 		}
-		parent[rb] = ra
-		if hasVal[rb] {
-			if hasVal[ra] && math.Abs(val[ra]-val[rb]) > presolveTol {
-				bad = true
-				return
-			}
-			hasVal[ra], val[ra] = true, val[rb]
-		}
-		changed = true
+		ps.parent[rb] = ra
+		ps.size[ra] += ps.size[rb]
+		ps.next[ra], ps.next[rb] = ps.next[rb], ps.next[ra]
 	}
 
-	// Substitute to a fixpoint: each pass reduces every row under the
-	// current classes/values and harvests new facts. Row counts here are
-	// small and each pass either fixes or merges at least one variable, so
-	// the loop is bounded by the variable count.
-	terms := map[int]float64{}
-	for {
-		changed = false
-		for ri := range p.Prefix {
-			r := &p.Prefix[ri]
-			clear(terms)
-			rhs := r.RHS
-			for k, cv := range r.Cols {
-				rt := find(int(cv))
-				if hasVal[rt] {
-					rhs -= r.Vals[k] * val[rt]
-					continue
+	// Substitute to a fixpoint: reduce each queued row under the current
+	// classes and values and harvest new facts. Every fact fixes or merges
+	// a class, so the worklist drains after at most n facts.
+	ps.queue = ps.queue[:0]
+	for ri := range prefix {
+		ps.queued[ri] = true
+		ps.queue = append(ps.queue, int32(ri))
+	}
+	for head := 0; head < len(ps.queue) && !bad; head++ {
+		ri := ps.queue[head]
+		ps.queued[ri] = false
+		r := &prefix[ri]
+		ps.begin()
+		rhs := r.RHS
+		for k, cv := range r.Cols {
+			rt := ps.find(cv)
+			if ps.hasVal[rt] {
+				rhs -= r.Vals[k] * ps.val[rt]
+				continue
+			}
+			ps.add(rt, r.Vals[k])
+		}
+		terms := ps.touched[:0]
+		pos, neg := 0, 0
+		for _, rt := range ps.touched {
+			switch c := ps.acc[rt]; {
+			case c > 0:
+				pos++
+			case c < 0:
+				neg++
+			default:
+				continue
+			}
+			terms = append(terms, rt)
+		}
+		zero := func() {
+			for _, rt := range terms {
+				fix(rt, 0)
+			}
+			ps.facts = append(ps.facts, PresolveFact{Kind: PresolveZero, Row: ri})
+		}
+		switch r.Rel {
+		case EQ:
+			switch {
+			case len(terms) == 0:
+				if math.Abs(rhs) > presolveTol {
+					bad = true
 				}
-				terms[rt] += r.Vals[k]
-				if terms[rt] == 0 {
-					delete(terms, rt)
+			case len(terms) == 1:
+				x := rhs / ps.acc[terms[0]]
+				fix(terms[0], x)
+				ps.facts = append(ps.facts, PresolveFact{Kind: PresolveFix, Row: ri,
+					Var: terms[0], Value: ps.val[terms[0]]})
+			case math.Abs(rhs) <= presolveTol && (pos == 0 || neg == 0):
+				// Sum of same-signed terms over nonnegative variables
+				// equals zero: every term is zero (null branches).
+				zero()
+			case len(terms) == 2 && math.Abs(rhs) <= presolveTol:
+				// c*x - c*y = 0 is x = y: merge the classes.
+				a, b := terms[0], terms[1]
+				if ps.acc[a] == -ps.acc[b] {
+					ps.facts = append(ps.facts, PresolveFact{Kind: PresolveMerge, Row: ri, Var: a, With: b})
+					union(a, b)
 				}
 			}
-			pos, neg := 0, 0
-			for _, c := range terms {
-				if c > 0 {
-					pos++
-				} else {
-					neg++
+		case LE:
+			if len(terms) == 0 {
+				if rhs < -presolveTol {
+					bad = true
+				}
+			} else if neg == 0 {
+				if rhs < -presolveTol {
+					bad = true // sum of nonnegative terms <= negative
+				} else if rhs <= presolveTol {
+					zero()
 				}
 			}
-			switch r.Rel {
-			case EQ:
-				switch {
-				case len(terms) == 0:
-					if math.Abs(rhs) > presolveTol {
-						bad = true
-					}
-				case len(terms) == 1:
-					for rt, c := range terms {
-						fix(rt, rhs/c)
-					}
-				case math.Abs(rhs) <= presolveTol && (pos == 0 || neg == 0):
-					// Sum of same-signed terms over nonnegative variables
-					// equals zero: every term is zero (null branches).
-					for rt := range terms {
-						fix(rt, 0)
-					}
-				case len(terms) == 2 && math.Abs(rhs) <= presolveTol:
-					// c*x - c*y = 0 is x = y: merge the classes.
-					var vs [2]int
-					var cs [2]float64
-					i := 0
-					for rt, c := range terms {
-						vs[i], cs[i] = rt, c
-						i++
-					}
-					if cs[0] == -cs[1] {
-						union(vs[0], vs[1])
-					}
+		case GE:
+			if len(terms) == 0 {
+				if rhs > presolveTol {
+					bad = true
 				}
-			case LE:
-				if len(terms) == 0 {
-					if rhs < -presolveTol {
-						bad = true
-					}
-				} else if neg == 0 {
-					if rhs < -presolveTol {
-						bad = true // sum of nonnegative terms <= negative
-					} else if rhs <= presolveTol {
-						for rt := range terms {
-							fix(rt, 0)
-						}
-					}
+			} else if pos == 0 {
+				if rhs > presolveTol {
+					bad = true // sum of nonpositive terms >= positive
+				} else if rhs >= -presolveTol {
+					zero()
 				}
-			case GE:
-				if len(terms) == 0 {
-					if rhs > presolveTol {
-						bad = true
-					}
-				} else if pos == 0 {
-					if rhs > presolveTol {
-						bad = true // sum of nonpositive terms >= positive
-					} else if rhs >= -presolveTol {
-						for rt := range terms {
-							fix(rt, 0)
-						}
-					}
-				}
-			}
-			if bad {
-				return nil, true
 			}
 		}
-		if !changed {
-			break
-		}
+	}
+	if bad {
+		return nil, true
 	}
 
 	// Assign reduced columns to the surviving classes, in variable order.
 	col := make([]int32, n)
 	fixed := make([]float64, n)
-	nRed := 0
-	rootCol := make(map[int]int32)
-	for v := 0; v < n; v++ {
-		rt := find(v)
-		if hasVal[rt] {
+	rootCol := ps.rootCol
+	for v := range rootCol {
+		rootCol[v] = -1
+	}
+	nRed := int32(0)
+	for v := int32(0); v < int32(n); v++ {
+		rt := ps.find(v)
+		if ps.hasVal[rt] {
 			col[v] = -1
-			fixed[v] = val[rt]
+			fixed[v] = ps.val[rt]
 			continue
 		}
-		c, ok := rootCol[rt]
-		if !ok {
-			c = int32(nRed)
-			rootCol[rt] = c
+		if rootCol[rt] < 0 {
+			rootCol[rt] = nRed
 			nRed++
 		}
-		col[v] = c
+		col[v] = rootCol[rt]
 	}
-	if nRed == n || nRed == 0 {
+	if nRed == int32(n) || nRed == 0 {
 		// Nothing eliminated (reduction would be a copy), or everything
 		// fixed (degenerate; let the cold path handle it).
 		return nil, false
 	}
-	red = &presolved{n: n, nRed: nRed, col: col, fixed: fixed}
+	rec := &PresolveRecord{NumVars: n, Facts: slices.Clone(ps.facts)}
+	red = &presolved{n: n, nRed: int(nRed), col: col, fixed: fixed, rec: rec}
 
 	// Reduce the rows, dropping those the substitution satisfied outright
 	// and deduplicating rows that collapse to the same reduced form (a
-	// block's in- and out-equations often do once shared edges merge).
-	seen := map[string]bool{}
-	reduced := make([]Constraint, 0, len(p.Prefix))
-	for ri := range p.Prefix {
-		r := &p.Prefix[ri]
-		coeffs, rhs, fate := red.lowerPacked(r)
-		switch fate {
+	// block's in- and out-equations often do once shared edges merge). A
+	// reduced row is never longer than its source, so one arena of the
+	// base's size holds them all.
+	colArena := make([]int32, 0, nnz)
+	valArena := make([]float64, 0, nnz)
+	red.rows = make([]PackedRow, 0, m)
+	rec.Rows = make([]int32, 0, m)
+	if ps.seen == nil {
+		ps.seen = map[uint64]int32{}
+	}
+	clear(ps.seen)
+	for ri := range prefix {
+		r := &prefix[ri]
+		ps.begin()
+		rhs := r.RHS
+		for k, cv := range r.Cols {
+			if col[cv] < 0 {
+				rhs -= r.Vals[k] * fixed[cv]
+				continue
+			}
+			ps.add(col[cv], r.Vals[k])
+		}
+		kept := 0
+		for _, j := range ps.touched {
+			if ps.acc[j] != 0 {
+				kept++
+			}
+		}
+		switch emptyRowFate(kept, r.Rel, rhs) {
 		case rowInfeasible:
 			return nil, true
 		case rowRedundant:
 			continue
 		}
-		reduced = append(reduced, Constraint{Coeffs: coeffs, Rel: r.Rel, RHS: rhs})
-	}
-	packed := Pack(reduced)
-	red.rows = packed[:0]
-	for _, pr := range packed {
-		key := rowKey(&pr)
-		if seen[key] {
+		slices.Sort(ps.touched)
+		lo := len(colArena)
+		for _, j := range ps.touched {
+			if v := ps.acc[j]; v != 0 {
+				colArena = append(colArena, j)
+				valArena = append(valArena, v)
+			}
+		}
+		hi := len(colArena)
+		pr := normalizeSign(PackedRow{Cols: colArena[lo:hi:hi], Vals: valArena[lo:hi:hi], Rel: r.Rel, RHS: rhs})
+		h := hashPacked(&pr)
+		if k, dup := ps.seen[h]; dup && (samePacked(&red.rows[k], &pr) || slices.ContainsFunc(red.rows, func(q PackedRow) bool { return samePacked(&q, &pr) })) {
+			colArena, valArena = colArena[:lo], valArena[:lo]
 			continue
+		} else if !dup {
+			ps.seen[h] = int32(len(red.rows))
 		}
-		seen[key] = true
 		red.rows = append(red.rows, pr)
-	}
-
-	red.obj = make(map[int]float64, len(p.Objective))
-	for v, c := range p.Objective {
-		if col[v] < 0 {
-			red.objOffset += c * fixed[v]
-		} else {
-			red.obj[int(col[v])] += c
-		}
+		rec.Rows = append(rec.Rows, int32(ri))
 	}
 	return red, false
 }
 
-// rowKey serializes a packed row for exact-duplicate detection.
-func rowKey(r *PackedRow) string {
-	b := make([]byte, 0, 16+12*len(r.Cols))
-	b = append(b, byte(r.Rel))
-	b = appendFloatKey(b, r.RHS)
+// hashPacked hashes a packed row's relation, right-hand side and entries,
+// floats by their bits (FNV-1a over 64-bit words).
+func hashPacked(r *PackedRow) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	mix := func(w uint64) { h = (h ^ w) * prime }
+	mix(uint64(r.Rel))
+	mix(math.Float64bits(r.RHS))
 	for k, c := range r.Cols {
-		b = append(b, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-		b = appendFloatKey(b, r.Vals[k])
+		mix(uint64(c))
+		mix(math.Float64bits(r.Vals[k]))
 	}
-	return string(b)
+	return h
 }
 
-func appendFloatKey(b []byte, f float64) []byte {
-	u := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(u>>(8*i)))
+// samePacked reports whether two packed rows are identical, floats
+// compared by their bits.
+func samePacked(a, b *PackedRow) bool {
+	if a.Rel != b.Rel || math.Float64bits(a.RHS) != math.Float64bits(b.RHS) || len(a.Cols) != len(b.Cols) {
+		return false
 	}
-	return b
+	for k, c := range a.Cols {
+		if c != b.Cols[k] || math.Float64bits(a.Vals[k]) != math.Float64bits(b.Vals[k]) {
+			return false
+		}
+	}
+	return true
 }
 
-// lowerPacked substitutes a packed row into reduced space.
-func (pr *presolved) lowerPacked(r *PackedRow) (map[int]float64, float64, rowFate) {
-	coeffs := make(map[int]float64, len(r.Cols))
-	rhs := r.RHS
-	for k, cv := range r.Cols {
-		v := int(cv)
+// lowerObjective substitutes an objective into reduced space: the original
+// objective equals the reduced one plus the offset at corresponding points.
+func (pr *presolved) lowerObjective(obj map[int]float64) (map[int]float64, float64) {
+	red := make(map[int]float64, len(obj))
+	off := 0.0
+	for v, c := range obj {
 		if pr.col[v] < 0 {
-			rhs -= r.Vals[k] * pr.fixed[v]
-			continue
-		}
-		j := int(pr.col[v])
-		coeffs[j] += r.Vals[k]
-		if coeffs[j] == 0 {
-			delete(coeffs, j)
+			off += c * pr.fixed[v]
+		} else {
+			red[int(pr.col[v])] += c
 		}
 	}
-	return coeffs, rhs, emptyRowFate(len(coeffs), r.Rel, rhs)
+	return red, off
 }
 
 // lowerDelta substitutes a per-set delta constraint into reduced space,

@@ -28,7 +28,7 @@ func TestPresolveFixAndSubstitute(t *testing.T) {
 			{Coeffs: map[int]float64{4: 1, 0: -2}, Rel: EQ, RHS: 0},
 			{Coeffs: map[int]float64{1: 1}, Rel: LE, RHS: 7},
 		})
-	red, infeasible := presolveBase(p)
+	red, infeasible := presolveRows(p.Prefix, p.NumVars)
 	if infeasible {
 		t.Fatalf("presolve reported infeasible")
 	}
@@ -48,11 +48,12 @@ func TestPresolveFixAndSubstitute(t *testing.T) {
 		t.Errorf("x1/x2 should share a reduced column, got %d/%d", red.col[1], red.col[2])
 	}
 	// Objective: 10*1 + 2*2 fixed offset, x1+x2 merge to 7 on one column.
-	if red.objOffset != 14 {
-		t.Errorf("objOffset = %g, want 14", red.objOffset)
+	obj, off := red.lowerObjective(p.Objective)
+	if off != 14 {
+		t.Errorf("objOffset = %g, want 14", off)
 	}
-	if red.obj[int(red.col[1])] != 7 {
-		t.Errorf("merged objective coefficient = %g, want 7", red.obj[int(red.col[1])])
+	if obj[int(red.col[1])] != 7 {
+		t.Errorf("merged objective coefficient = %g, want 7", obj[int(red.col[1])])
 	}
 	// The two x0/x4 equalities and nothing else should drop; x1<=7 and
 	// x3<=5 remain.
@@ -70,7 +71,7 @@ func TestPresolveNullBranch(t *testing.T) {
 			{Coeffs: map[int]float64{2: 1, 1: -1}, Rel: EQ, RHS: 0},
 			{Coeffs: map[int]float64{3: 1}, Rel: LE, RHS: 9},
 		})
-	red, infeasible := presolveBase(p)
+	red, infeasible := presolveRows(p.Prefix, p.NumVars)
 	if infeasible || red == nil {
 		t.Fatalf("presolve failed: red=%v infeasible=%v", red, infeasible)
 	}
@@ -92,7 +93,7 @@ func TestPresolveInfeasibleBase(t *testing.T) {
 			{Coeffs: map[int]float64{0: 1}, Rel: EQ, RHS: 2},
 			{Coeffs: map[int]float64{1: 1}, Rel: LE, RHS: 3},
 		})
-	if _, infeasible := presolveBase(p); !infeasible {
+	if _, infeasible := presolveRows(p.Prefix, p.NumVars); !infeasible {
 		t.Fatalf("contradictory base not detected")
 	}
 	// A negative fixed value also contradicts nonnegativity.
@@ -101,7 +102,7 @@ func TestPresolveInfeasibleBase(t *testing.T) {
 			{Coeffs: map[int]float64{0: 1}, Rel: EQ, RHS: -1},
 			{Coeffs: map[int]float64{1: 1}, Rel: LE, RHS: 3},
 		})
-	if _, infeasible := presolveBase(p); !infeasible {
+	if _, infeasible := presolveRows(p.Prefix, p.NumVars); !infeasible {
 		t.Fatalf("negative fixed value not detected")
 	}
 }
@@ -113,7 +114,7 @@ func TestPresolveDeltaLowering(t *testing.T) {
 			{Coeffs: map[int]float64{1: 1, 0: 1}, Rel: LE, RHS: 10},
 			{Coeffs: map[int]float64{2: 1}, Rel: LE, RHS: 3},
 		})
-	red, infeasible := presolveBase(p)
+	red, infeasible := presolveRows(p.Prefix, p.NumVars)
 	if infeasible || red == nil {
 		t.Fatalf("presolve failed: red=%v infeasible=%v", red, infeasible)
 	}
@@ -166,7 +167,7 @@ func TestPresolveWarmStartEquivalence(t *testing.T) {
 			sense = Minimize
 		}
 		base := presolveProblem(sense, n, obj, rows)
-		w := NewWarmStartOpts(base, WarmOptions{})
+		w := NewWarmStart(base, nil)
 		if !w.Ready() {
 			t.Fatalf("trial %d: warm start not ready (base status %v)", trial, w.baseStatus)
 		}

@@ -122,7 +122,12 @@ func TestWarmStartUniqueAgainstCold(t *testing.T) {
 			sense = Minimize
 		}
 		base := tieBase(rng, sense, 3+rng.Intn(4))
-		w := NewWarmStartOpts(base, WarmOptions{DisablePresolve: trial%4 >= 2})
+		var w *WarmStart
+		if trial%4 >= 2 {
+			w = newWarmStart(base, nil)
+		} else {
+			w = NewWarmStart(base, nil)
+		}
 		if !w.Ready() {
 			continue
 		}
@@ -213,7 +218,7 @@ func TestWarmSolveReusesDirtyScratch(t *testing.T) {
 		}
 		n := 3 + rng.Intn(4)
 		big, small := warmBase(rng, sense, n+4), warmBase(rng, sense, n)
-		wBig, w := NewWarmStartOpts(big, WarmOptions{}), NewWarmStartOpts(small, WarmOptions{})
+		wBig, w := NewWarmStart(big, nil), NewWarmStart(small, nil)
 		if !wBig.Ready() || !w.Ready() {
 			continue
 		}

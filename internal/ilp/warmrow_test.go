@@ -109,7 +109,12 @@ func TestWarmRowsLoweredOnce(t *testing.T) {
 				sense := Sense(trial % 2)
 				n := 4 + rng.Intn(5)
 				base := presolvableBase(rng, sense, n)
-				w := NewWarmStartOpts(base, WarmOptions{DisablePresolve: !cfg.presolve})
+				var w *WarmStart
+				if cfg.presolve {
+					w = NewWarmStart(base, nil)
+				} else {
+					w = newWarmStart(base, nil)
+				}
 				if !w.Ready() {
 					continue
 				}
@@ -117,7 +122,7 @@ func TestWarmRowsLoweredOnce(t *testing.T) {
 					continue // presolve fixed everything or nothing: no reduced base
 				}
 				if !cfg.presolve && w.red != nil {
-					t.Fatalf("trial %d: presolve active under DisablePresolve", trial)
+					t.Fatalf("trial %d: presolve active in an unreduced warm start", trial)
 				}
 				if cfg.fault {
 					SetFaultInjector(faultRHS)

@@ -13,21 +13,25 @@ import (
 // dual simplex from the base basis with only their delta rows attached,
 // instead of paying a full two-phase cold solve each.
 //
-// The retained tableau is read-only after NewWarmStartOpts; every per-set
+// The retained tableau is read-only after NewWarmStart; every per-set
 // solve (SolveRows) copies it into pooled scratch, so concurrent solves on
 // one WarmStart are safe.
 type WarmStart struct {
-	prob       *Problem
-	red        *presolved // non-nil when the structural presolve shrank the base
-	nTab       int        // variable count of the retained tableau's problem
-	sign       float64    // +1 Maximize, -1 Minimize (internal max sense)
+	prob *Problem
+	red  *presolved // non-nil when the structural presolve shrank the base
+	// redObj and objOffset are the objective in the reduced space (under a
+	// presolve): the original objective is redObj plus objOffset.
+	redObj     map[int]float64
+	objOffset  float64
+	nTab       int     // variable count of the retained tableau's problem
+	sign       float64 // +1 Maximize, -1 Minimize (internal max sense)
 	ok         bool
 	baseStatus Status
 	basePivots int
 	baseObj    float64
 	baseX      []float64
 	base       *scratch     // final tableau, basis, hi, phase-2 reduced costs
-	baseCert   *Certificate // base optimal basis, when certifiable (no presolve)
+	baseCert   *Certificate // base optimal basis
 	// baseXIntegral and redFixedIntegral are precomputed so the lean NoX
 	// solve path can report integrality without materializing an assignment:
 	// the base optimum's integrality, and (under a presolve) whether every
@@ -36,49 +40,63 @@ type WarmStart struct {
 	redFixedIntegral bool
 }
 
-// WarmOptions tunes NewWarmStartOpts.
-type WarmOptions struct {
-	// DisablePresolve skips the structural presolve, so the retained
-	// tableau works in the original variable space. A certifying caller
-	// needs this: certificates name standard-form columns of the original
-	// problem, and a presolved tableau's basis does not translate.
-	DisablePresolve bool
-}
-
-// NewWarmStartOpts solves the base problem once with the cold two-phase
+// NewWarmStart solves the base problem once with the cold two-phase
 // simplex and retains the optimal tableau. The problem must consist of
 // Prefix rows only (no Constraints — those are the per-set deltas). When
 // the base is not solvable to optimality (infeasible, unbounded, or
 // degenerate with no rows), Ready reports false and every per-set solve
 // asks the caller to fall back to a cold solve.
-func NewWarmStartOpts(p *Problem, opts WarmOptions) *WarmStart {
-	w := &WarmStart{prob: p, sign: 1, baseStatus: Infeasible}
-	if p.Sense == Minimize {
-		w.sign = -1
+//
+// The tableau works in the space of the structural presolve of p's rows:
+// pre, which must have been built by NewPresolve over p.Prefix and
+// p.NumVars (as when both directions of an analysis share their rows), or
+// one computed here when pre is nil.
+func NewWarmStart(p *Problem, pre *Presolve) *WarmStart {
+	if !warmable(p) {
+		return newWarmStart(p, nil)
 	}
-	if len(p.Constraints) != 0 || len(p.Prefix) == 0 {
+	if pre == nil {
+		pre = NewPresolve(p.Prefix, p.NumVars)
+	}
+	if pre.infeasible {
+		// A presolve-detected contradiction means the base itself is
+		// infeasible; leave the warm start not-ready and let the cold path
+		// report that per set.
+		return &WarmStart{prob: p, sign: warmSign(p), baseStatus: Infeasible}
+	}
+	return newWarmStart(p, pre.red)
+}
+
+// warmable reports whether p has the shape of a warm-start base.
+func warmable(p *Problem) bool { return len(p.Constraints) == 0 && len(p.Prefix) > 0 }
+
+func warmSign(p *Problem) float64 {
+	if p.Sense == Minimize {
+		return -1
+	}
+	return 1
+}
+
+// newWarmStart builds the warm start over the reduction red, or over the
+// original space when red is nil.
+func newWarmStart(p *Problem, red *presolved) *WarmStart {
+	w := &WarmStart{prob: p, sign: warmSign(p), baseStatus: Infeasible}
+	if !warmable(p) {
 		return w
 	}
-	// Structural presolve: substitute away variables the base rows pin down
-	// (fixed counts, equal-count pairs, null branches) so the retained
-	// tableau — and every per-set dual-simplex re-solve on top of it — works
-	// in the smaller space. A presolve-detected contradiction means the base
-	// itself is infeasible; leave the warm start not-ready and let the cold
-	// path report that per set.
+	// Structural presolve: the variables the base rows pin down (fixed
+	// counts, equal-count pairs, null branches) are substituted away, so the
+	// retained tableau — and every per-set dual-simplex re-solve on top of
+	// it — works in the smaller space.
 	solveProb := p
-	if !opts.DisablePresolve {
-		red, infeasible := presolveBase(p)
-		if infeasible {
-			return w
-		}
-		if red != nil {
-			w.red = red
-			solveProb = &Problem{
-				Sense:     p.Sense,
-				NumVars:   red.nRed,
-				Objective: red.obj,
-				Prefix:    red.rows,
-			}
+	if red != nil {
+		w.red = red
+		w.redObj, w.objOffset = red.lowerObjective(p.Objective)
+		solveProb = &Problem{
+			Sense:     p.Sense,
+			NumVars:   red.nRed,
+			Objective: w.redObj,
+			Prefix:    red.rows,
 		}
 	}
 	w.nTab = solveProb.NumVars
@@ -92,10 +110,11 @@ func NewWarmStartOpts(p *Problem, opts WarmOptions) *WarmStart {
 	w.ok = true
 	w.base = s
 	if w.red != nil {
-		obj += w.red.objOffset
+		obj += w.objOffset
 		x = w.red.reconstruct(x)
-	} else if s.m > 0 {
-		w.baseCert = &Certificate{Warm: true, Basis: append([]int(nil), s.basis[:s.m]...)}
+	}
+	if s.m > 0 {
+		w.baseCert = w.cert(s.basis[:s.m])
 	}
 	w.baseObj = obj
 	w.baseX = x
@@ -110,6 +129,20 @@ func NewWarmStartOpts(p *Problem, opts WarmOptions) *WarmStart {
 		}
 	}
 	return w
+}
+
+// cert is the warm certificate of a final basis.
+func (w *WarmStart) cert(basis []int) *Certificate {
+	return &Certificate{Warm: true, Basis: append([]int(nil), basis...), Presolve: w.PresolveRecord()}
+}
+
+// PresolveRecord returns the derivation of the structural presolve the
+// tableau works under, nil when the base was not reduced.
+func (w *WarmStart) PresolveRecord() *PresolveRecord {
+	if w.red == nil {
+		return nil
+	}
+	return w.red.rec
 }
 
 // Ready reports whether the base tableau is available for warm solves.
@@ -166,9 +199,9 @@ type SetSolution struct {
 	// Suspect counts ill-conditioned pivots of this solve.
 	Suspect int
 	// Cert is the optimal-basis certificate, present when the solve was
-	// asked for one, ended Optimal, and the warm start runs without a
-	// presolve (a presolved basis names reduced columns and cannot be
-	// checked against the original problem).
+	// asked for one and ended Optimal. Under a presolve its basis names
+	// columns of the reduced problem and it points to the presolve's
+	// record (Certificate.Presolve).
 	Cert *Certificate
 	// OK false means the warm path gave up and the caller must solve cold.
 	OK bool
@@ -534,11 +567,7 @@ func (w *WarmStart) solveDeltaOn(s *scratch, rows []*WarmRow, k int, opts SetSol
 	// The tableau's dual bound -rc[total] tracks the reduced objective when
 	// a presolve is active; shift the caller's full-space cutoff by the
 	// fixed-variable contribution before comparing.
-	var off float64
-	if w.red != nil {
-		off = w.red.objOffset
-	}
-	internalCutoff := w.sign * (opts.Cutoff - off)
+	internalCutoff := w.sign * (opts.Cutoff - w.objOffset)
 	pivots := 0
 	blandAfter := 50 * (m + total + 10)
 	hardCap := 10 * blandAfter
@@ -609,7 +638,7 @@ func (w *WarmStart) solveDeltaOn(s *scratch, rows []*WarmRow, k int, opts SetSol
 		objMap := w.prob.Objective
 		integral := true
 		if w.red != nil {
-			objMap = w.red.obj
+			objMap = w.redObj
 			integral = w.redFixedIntegral
 		}
 		obj := 0.0
@@ -627,9 +656,7 @@ func (w *WarmStart) solveDeltaOn(s *scratch, rows []*WarmRow, k int, opts SetSol
 				}
 			}
 		}
-		if w.red != nil {
-			obj += w.red.objOffset
-		}
+		obj += w.objOffset
 		r = SetSolution{Status: Optimal, Objective: obj, XIntegral: integral,
 			Pivots: pivots, Suspect: s.suspect, OK: true}
 	} else {
@@ -661,8 +688,8 @@ func (w *WarmStart) solveDeltaOn(s *scratch, rows []*WarmRow, k int, opts SetSol
 		r = SetSolution{Status: Optimal, Objective: obj, X: x, XIntegral: isIntegral(x),
 			Pivots: pivots, Suspect: s.suspect, OK: true}
 	}
-	if opts.WantCert && w.red == nil {
-		r.Cert = &Certificate{Warm: true, Basis: append([]int(nil), s.basis[:m]...)}
+	if opts.WantCert {
+		r.Cert = w.cert(s.basis[:m])
 	}
 	if !opts.NoX {
 		// Under a presolve the test runs in the reduced space. That is

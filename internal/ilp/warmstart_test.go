@@ -88,7 +88,7 @@ func TestWarmStartAgainstCold(t *testing.T) {
 		}
 		n := 3 + rng.Intn(5)
 		base := warmBase(rng, sense, n)
-		w := NewWarmStartOpts(base, WarmOptions{})
+		w := NewWarmStart(base, nil)
 		if !w.Ready() {
 			// Base infeasible/unbounded by construction is rare but legal;
 			// the caller would go cold. Nothing warm to verify.
@@ -132,7 +132,7 @@ func TestWarmStartCutoff(t *testing.T) {
 		}
 		n := 3 + rng.Intn(4)
 		base := warmBase(rng, sense, n)
-		w := NewWarmStartOpts(base, WarmOptions{})
+		w := NewWarmStart(base, nil)
 		if !w.Ready() {
 			continue
 		}
@@ -173,7 +173,7 @@ func TestWarmStartEmptyAndInfeasibleSets(t *testing.T) {
 			c(map[int]float64{0: 1, 1: 3}, LE, 6),
 		}),
 	}
-	w := NewWarmStartOpts(base, WarmOptions{})
+	w := NewWarmStart(base, nil)
 	if !w.Ready() {
 		t.Fatalf("base not ready: %v", w.baseStatus)
 	}

@@ -73,7 +73,8 @@ type Stats struct {
 	Solved int
 	// WarmSolves counts jobs concluded by the warm dual-simplex path plus
 	// the winners' finishing warm solves (finishDir), which also test the
-	// optimum for uniqueness; ColdSolves counts full two-phase solves (base
+	// optimum for uniqueness — except in a one-set plan, whose job runs
+	// that test itself; ColdSolves counts full two-phase solves (base
 	// solves, fallbacks, and the canonicalizing re-solve of a winner whose
 	// optimum is not unique or has no warm base).
 	WarmSolves int
@@ -341,12 +342,12 @@ func (a *Session) bestObjective() (objective, error) {
 
 // direction bundles everything one objective sense shares across its
 // per-set solves: the objective, the pre-lowered shared rows, and the
-// warm-start base tableau.
+// warm-start base tableau with, under Options.Certify, its exact checker.
 type direction struct {
 	sense  ilp.Sense
 	obj    objective
 	prefix []ilp.PackedRow
-	warm   *ilp.WarmStart
+	base   *warmBaseEntry
 	// relax is the base LP relaxation's optimum (structural + loop +
 	// objective rows, no set rows). Adding rows only shrinks the feasible
 	// region, so relax dominates every per-set optimum: it is the sound
@@ -355,16 +356,27 @@ type direction struct {
 	// when a budgeted run may need it.
 	relax   float64
 	relaxOK bool
-	// warmRows[k] is atom k's row lowered into warm, built by the first
-	// solve that needs it (nil without a ready warm base).
+	// warmRows[k] is atom k's row lowered into the warm base, built by the
+	// first solve that needs it (nil without a ready warm base).
 	warmRows []warmRow
+}
+
+// verifyWarm checks a warm certificate of one of the direction's sets
+// (p is the set's full problem) through the base's checker. A checker that
+// could not be built fails every warm certificate.
+func (d *direction) verifyWarm(p *ilp.Problem, cert *ilp.Certificate) (*certify.Result, error) {
+	check, err := d.base.checker()
+	if err != nil {
+		return nil, err
+	}
+	return check.Verify(p, cert)
 }
 
 // warmRow returns atom k's row lowered into the direction's warm base,
 // lowering it on first use.
 func (d *direction) warmRow(atoms []atomRow, k int32) *ilp.WarmRow {
 	w := &d.warmRows[k]
-	w.once.Do(func() { w.row = d.warm.LowerRow(&atoms[k].row) })
+	w.once.Do(func() { w.row = d.base.warm.LowerRow(&atoms[k].row) })
 	return w.row
 }
 
@@ -460,22 +472,35 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 	if a.persist {
 		plan.loopKey = packedRowsKey(loops)
 	}
+	// Without objective extra rows (every run without first-iteration
+	// splitting) both directions share their base rows, and so one
+	// presolve, built by the first base that needs it.
+	sharePresolve := true
+	for i := range a.dirBases {
+		db := &a.dirBases[i]
+		sharePresolve = sharePresolve && len(db.packedExtra) == 0 && db.obj.nVars == a.dirBases[0].obj.nVars
+	}
+	var shared *ilp.Presolve
 	for di := range a.dirBases {
 		db := &a.dirBases[di]
 		prefix := a.prefix(db, loops)
 		d := direction{sense: db.sense, obj: db.obj, prefix: prefix}
 		newBase := func() *warmBaseEntry {
-			// Certify needs the un-presolved base: the exact checker
-			// re-derives the warm tableau layout from the problem, which
-			// presolve row-elimination would obscure. The base optimum (and
-			// so every bound) is identical either way.
-			w := ilp.NewWarmStartOpts(&ilp.Problem{
+			base := &ilp.Problem{
 				Sense:     db.sense,
 				NumVars:   db.obj.nVars,
 				Objective: db.obj.coeffs,
 				Prefix:    prefix,
-			}, ilp.WarmOptions{DisablePresolve: a.Opts.Certify})
-			return &warmBaseEntry{warm: w, pivots: w.BasePivots()}
+			}
+			var pre *ilp.Presolve
+			if sharePresolve {
+				if shared == nil {
+					shared = ilp.NewPresolve(prefix, db.obj.nVars)
+				}
+				pre = shared
+			}
+			w := ilp.NewWarmStart(base, pre)
+			return &warmBaseEntry{warm: w, pivots: w.BasePivots(), prob: base}
 		}
 		var entry *warmBaseEntry
 		var hit bool
@@ -486,17 +511,17 @@ func (a *Analyzer) solverSetup() (plan *solverPlan, fresh bool, err error) {
 		} else {
 			entry = newBase()
 		}
-		d.warm = entry.warm
-		if d.warm.Ready() {
+		d.base = entry
+		if d.base.warm.Ready() {
 			d.warmRows = make([]warmRow, len(a.atoms))
 		}
 		if !hit {
 			plan.setup.charge(&solveResult{cold: true, stats: ilp.Stats{LPSolves: 1, Pivots: entry.pivots}})
 		}
 		effDeadline, effBudget := a.effAnytime()
-		if d.warm.Ready() {
+		if d.base.warm.Ready() {
 			// The warm base already holds the relaxation envelope.
-			d.relax, d.relaxOK = d.warm.BaseObjective()
+			d.relax, d.relaxOK = d.base.warm.BaseObjective()
 		} else if effDeadline > 0 || effBudget > 0 {
 			// A budgeted run may need the envelope for sets it abandons;
 			// solve the base LP once here. Unbudgeted runs skip this so
@@ -580,6 +605,13 @@ type solveResult struct {
 	// counts of a winner that is warm or a cache hit, keeping the reported
 	// BoundReport bit-identical to the exhaustive path.
 	cacheHit bool
+	// tested marks a warm result whose job materialized its assignment and
+	// tested it as a warm finish would (the one set of a one-set plan);
+	// finished marks that the test passed, so values already are the
+	// winner's counts: integral, the LP's unique optimum and, under
+	// Certify, the point its verified certificate proves.
+	tested   bool
+	finished bool
 	// done marks that the job actually ran (a worker wrote this result);
 	// a zero-value slot left by an early pool shutdown must not read as an
 	// optimal zero-cycle solve.
@@ -629,14 +661,18 @@ func (a *Analyzer) solveSet(ctx context.Context, plan *solverPlan, d *direction,
 	}
 
 	var r solveResult
-	if d.warm.Ready() {
-		// NoX: only the winner's counts are reported, and finishDir derives
-		// them in a finishing solve of its own, so no per-set solve needs
-		// the assignment materialized — integrality arrives precomputed in
-		// ws.XIntegral.
+	if d.base.warm.Ready() {
+		// Only the winner's counts are reported. With several distinct sets
+		// finishDir derives them in a finishing solve of the winner, so the
+		// fan-out runs objective-only (NoX): integrality arrives precomputed
+		// in ws.XIntegral. A one-set plan's only set is the winner whenever
+		// one exists, so its job materializes the assignment and the
+		// uniqueness test the finish would repeat, and finishDir takes the
+		// counts from it.
+		single := len(plan.distinct) == 1
 		var buf [16]*ilp.WarmRow
-		ws := d.warm.SolveRows(d.lowered(plan.atoms, set, buf[:0]), ilp.SetSolveOptions{
-			Cutoff: cut, UseCutoff: useCutoff, WantCert: certOn, NoX: true})
+		ws := d.base.warm.SolveRows(d.lowered(plan.atoms, set, buf[:0]), ilp.SetSolveOptions{
+			Cutoff: cut, UseCutoff: useCutoff, WantCert: certOn, NoX: !single})
 		r = warmResult(&ws)
 		if ws.OK && (ws.Status == ilp.Infeasible || ws.Status == ilp.Dominated ||
 			ws.Status == ilp.Optimal && ws.XIntegral) {
@@ -645,9 +681,12 @@ func (a *Analyzer) solveSet(ctx context.Context, plan *solverPlan, d *direction,
 			if ws.Status == ilp.Optimal {
 				r.stats.RootIntegral = true
 				r.cycles = int64(math.Round(ws.Objective))
+				if single {
+					r.values, r.tested, r.finished = ws.X, true, ws.Unique
+				}
 			}
 			if certOn {
-				if err := a.certifyOutcome(ctx, &r, plan.problem(d, set), ws.Cert); err != nil {
+				if err := a.certifyOutcome(ctx, &r, plan.problem(d, set), ws.Cert, d.verifyWarm); err != nil {
 					return solveResult{err: err}
 				}
 			}
@@ -696,24 +735,36 @@ func (a *Analyzer) coldSolve(ctx context.Context, r *solveResult, p *ilp.Problem
 	if !a.Opts.Certify {
 		return nil
 	}
-	return a.certifyOutcome(ctx, r, p, sol.Cert)
+	return a.certifyOutcome(ctx, r, p, sol.Cert, certify.Verify)
 }
+
+// verifyFunc checks one claim's certificate exactly: certify.Verify for
+// cold claims, the base's checker (direction.verifyWarm) for warm ones.
+type verifyFunc func(*ilp.Problem, *ilp.Certificate) (*certify.Result, error)
 
 // certifyOutcome backs one per-set claim with an exact rational check, per
 // Options.Certify. An Optimal claim from a clean solve (no suspect pivots)
-// carrying a certificate is verified exactly: if the certificate proves the
-// claimed cycle count, the claim stands as-is. Everything else — a rejected
-// certificate, a certified value contradicting the claim, a missing
-// certificate (branch-and-bound answers, infeasibility and domination
-// claims), or any suspect solve — is re-solved from scratch by the exact
-// rational simplex, and the float claim is replaced wholesale by the exact
-// outcome. Either way the resulting claim is exactly right.
-func (a *Analyzer) certifyOutcome(ctx context.Context, r *solveResult, p *ilp.Problem, cert *ilp.Certificate) error {
+// carrying a certificate is verified exactly by verify: if the certificate
+// proves the claimed cycle count, the claim stands as-is. A warm claim that
+// also carries the winner's counts (solveResult.finished) keeps them only
+// when they are the point the certificate proves. Everything else — a
+// rejected certificate, a certified value contradicting the claim, a
+// missing certificate (branch-and-bound answers, infeasibility and
+// domination claims), or any suspect solve — is re-solved from scratch by
+// the exact rational simplex, and the float claim is replaced wholesale by
+// the exact outcome. Either way the resulting claim is exactly right.
+func (a *Analyzer) certifyOutcome(ctx context.Context, r *solveResult, p *ilp.Problem, cert *ilp.Certificate, verify verifyFunc) error {
 	suspect := r.stats.SuspectPivots > 0
 	if r.status == ilp.Optimal && cert != nil && !suspect {
-		if res, err := certify.Verify(p, cert); err == nil {
+		if res, err := verify(p, cert); err == nil {
 			if ex, ok := ratInt64(res.Objective); ok && ex == r.cycles {
 				r.certified = true
+				if r.finished && !sameCounts(res, r.values) {
+					// The claim stands, but its point is not the one the
+					// basis proves: the counts must come from a cold finish.
+					r.finished = false
+					r.certFailures++
+				}
 				return nil
 			}
 			// The basis proves a different optimum than the solver claimed:
@@ -742,6 +793,7 @@ func (a *Analyzer) certifyOutcome(ctx context.Context, r *solveResult, p *ilp.Pr
 	r.stats.LPSolves += exr.LPSolves
 	r.status = exr.Status
 	r.certified = true
+	r.finished = false
 	if exr.Status == ilp.Optimal {
 		r.cycles = ex
 		r.values = ratFloats(exr.X)
@@ -892,13 +944,17 @@ func (a *Analyzer) reduceDir(est *Estimate, d *direction, plan *solverPlan, resu
 }
 
 // finishDir fills the winning BoundReport's counts. A winner solved cold
-// carries the counts the exhaustive path reports. A winner answered by the
-// warm path or served from a session's outcome cache carries none (the
-// warm fan-out skips the assignment, a cached outcome has none), so the
-// winning set's warm solve is re-run with its assignment and a uniqueness
-// test: a unique optimum is the one count vector every solver returns.
-// Only a winner whose optimum is not unique, or cannot be verified, pays a
-// plain cold re-solve, which re-derives the exhaustive path's counts.
+// carries the counts the exhaustive path reports, and so does the warm
+// winner of a one-set plan whose job found a unique optimum
+// (solveResult.finished). Any other winner answered by the warm path or
+// served from a session's outcome cache carries none (the warm fan-out
+// skips the assignment, a cached outcome has none), so the winning set's
+// warm solve is re-run with its assignment and a uniqueness test: a unique
+// optimum is the one count vector every solver returns. Only a winner
+// whose optimum is not unique, or cannot be verified, pays a plain cold
+// re-solve, which re-derives the exhaustive path's counts; a one-set
+// plan's job has already run that test (solveResult.tested), so its
+// winner goes straight to the cold re-solve.
 // Prepared sessions retain every winner's count vector, keyed
 // order-sensitively by the winning set's own rows, so a repeat scenario
 // skips the finish and still reports identical counts.
@@ -910,15 +966,18 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 		key = plan.finishKey(di, set)
 	}
 	vals := win.values
-	if win.warm || win.cacheHit {
+	if (win.warm || win.cacheHit) && !win.finished {
 		if a.persist {
 			if cached, ok := a.finishCache.Get(key); ok {
 				best.Counts = a.aggregateCounts(cached)
 				return nil
 			}
 		}
-		var ok bool
-		if vals, ok = a.warmFinish(est, plan, d, set, best.Cycles); !ok {
+		ok := false
+		if !win.tested {
+			vals, ok = a.warmFinish(est, plan, d, set, best.Cycles)
+		}
+		if !ok {
 			var err error
 			if vals, err = a.coldFinish(ctx, est, plan.problem(d, set), best); err != nil {
 				return err
@@ -941,11 +1000,11 @@ func (a *Analyzer) finishDir(ctx context.Context, est *Estimate, di int, plan *s
 // is false when the cold re-solve has to decide instead; the solve's work
 // is counted either way.
 func (a *Analyzer) warmFinish(est *Estimate, plan *solverPlan, d *direction, set []int32, cycles int64) (vals []float64, ok bool) {
-	if !d.warm.Ready() {
+	if !d.base.warm.Ready() {
 		return nil, false
 	}
 	var buf [16]*ilp.WarmRow
-	ws := d.warm.SolveRows(d.lowered(plan.atoms, set, buf[:0]),
+	ws := d.base.warm.SolveRows(d.lowered(plan.atoms, set, buf[:0]),
 		ilp.SetSolveOptions{WantCert: a.Opts.Certify})
 	r := warmResult(&ws)
 	r.warm = ws.OK
@@ -960,8 +1019,8 @@ func (a *Analyzer) warmFinish(est *Estimate, plan *solverPlan, d *direction, set
 	if ws.Suspect > 0 || ws.Cert == nil {
 		return nil, false
 	}
-	if res, err := certify.Verify(plan.problem(d, set), ws.Cert); err == nil {
-		if ex, exOK := ratInt64(res.Objective); exOK && ex == cycles && sameCounts(res.X, ws.X) {
+	if res, err := d.verifyWarm(plan.problem(d, set), ws.Cert); err == nil {
+		if ex, exOK := ratInt64(res.Objective); exOK && ex == cycles && sameCounts(res, ws.X) {
 			return ws.X, true
 		}
 	}
@@ -972,12 +1031,13 @@ func (a *Analyzer) warmFinish(est *Estimate, plan *solverPlan, d *direction, set
 // sameCounts reports whether a float assignment rounds to the exact one
 // coordinate by coordinate: the float point is the exact point of its
 // basis, not one a corrupted tableau produced.
-func sameCounts(exact []*big.Rat, x []float64) bool {
-	if len(exact) != len(x) {
+func sameCounts(exact *certify.Result, x []float64) bool {
+	counts, ok := exact.Ints()
+	if !ok || len(counts) != len(x) {
 		return false
 	}
-	for j, v := range exact {
-		if n, ok := ratInt64(v); !ok || float64(n) != math.Round(x[j]) {
+	for j, n := range counts {
+		if float64(n) != math.Round(x[j]) {
 			return false
 		}
 	}

@@ -80,10 +80,12 @@ type Options struct {
 	// rational simplex of internal/ilp/certify. The reported bound is
 	// therefore exactly right even if the float64 kernels misbehave; the
 	// price is the exact fallback's cost on every claim the certificates
-	// cannot vouch for. Certify disables incumbent pruning (a pruned set's
-	// domination claim cannot be certified) and warm-base presolve (the
-	// certificate checker re-derives the warm tableau layout, which presolve
-	// would obscure); bounds and counts are unchanged by either.
+	// cannot vouch for. Warm claims run on the same presolved warm bases as
+	// uncertified ones: each base's exact checker replays the presolve's
+	// derivation once, and every warm certificate is checked in the reduced
+	// problem, its point against every original row. Certify disables
+	// incumbent pruning (a pruned set's domination claim cannot be
+	// certified), which leaves bounds and counts unchanged.
 	Certify bool
 	// WidenSets replaces the hard MaxSets failure with sound widening:
 	// when the disjunctive cross product would exceed MaxSets, the

@@ -13,6 +13,7 @@ import (
 	"cinderella/internal/cfg"
 	"cinderella/internal/constraint"
 	"cinderella/internal/ilp"
+	"cinderella/internal/ilp/certify"
 	"cinderella/internal/march"
 	"cinderella/internal/prepcache"
 )
@@ -201,10 +202,24 @@ type cacheKey struct {
 }
 
 // warmBaseEntry caches one warm-start base tableau with the pivot work its
-// one-time solve cost, so only the Estimate that built it is charged.
+// one-time solve cost, so only the Estimate that built it is charged, and,
+// once a certifying estimate first needs it, the exact checker of the
+// base's warm certificates.
 type warmBaseEntry struct {
 	warm   *ilp.WarmStart
 	pivots int
+	prob   *ilp.Problem // the base problem warm was built from
+
+	checkOnce sync.Once
+	check     *certify.WarmChecker
+	checkErr  error
+}
+
+// checker returns the exact checker of the base's warm certificates,
+// building it on first use.
+func (e *warmBaseEntry) checker() (*certify.WarmChecker, error) {
+	e.checkOnce.Do(func() { e.check, e.checkErr = certify.NewWarmChecker(e.prob, e.warm.PresolveRecord()) })
+	return e.check, e.checkErr
 }
 
 // cachedSolve is the cutoff-independent outcome of one (direction, loop

@@ -33,8 +33,9 @@ type ProgramSpec struct {
 	// Profile is the processor timing profile name; default "i960kb".
 	Profile string `json:"profile,omitempty"`
 	// Certify backs every bound with the exact rational layer (cinderella
-	// -certify). Certifying sessions keep presolve-free warm bases, so the
-	// flag is part of the program identity rather than a per-request knob.
+	// -certify). Certifying sessions solve without incumbent pruning and
+	// keep only certified outcomes in their caches, so the flag is part of
+	// the program identity rather than a per-request knob.
 	Certify bool `json:"certify,omitempty"`
 }
 

@@ -194,9 +194,10 @@ func (sp *ProgramSpec) normalize() {
 
 // hashSpec names a normalized program spec: SHA-256 over every field that
 // shapes the prepared session. Certify is deliberately part of the
-// identity — certifying sessions keep presolve-free warm bases, so a
-// certified and an uncertified analysis of the same text are distinct
-// resident sessions rather than one session serving mixed cache entries.
+// identity — certifying sessions solve without incumbent pruning and keep
+// exact checkers with their warm bases, so a certified and an uncertified
+// analysis of the same text are distinct resident sessions rather than one
+// session serving mixed cache entries.
 func hashSpec(sp ProgramSpec) string {
 	h := sha256.New()
 	kind, text := "src", sp.Source
