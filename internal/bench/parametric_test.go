@@ -189,22 +189,30 @@ func parametricRows(t *testing.T) []EstimatePerf {
 				}
 			}
 		})
-		var lastOne *ipet.Estimate
+		oneShot := func(file *constraint.File) (*ipet.Estimate, error) {
+			an, err := ipet.New(w.prog, w.root, opts)
+			if err != nil {
+				return nil, err
+			}
+			if err := an.Apply(file); err != nil {
+				return nil, err
+			}
+			return an.Estimate()
+		}
 		oneRes := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				an, err := ipet.New(w.prog, w.root, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := an.Apply(subsetFiles[i%len(subsetFiles)]); err != nil {
-					b.Fatal(err)
-				}
-				if lastOne, err = an.Estimate(); err != nil {
+				if _, err := oneShot(subsetFiles[i%len(subsetFiles)]); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		// The row's counters come from one untimed estimate of the first
+		// subset scenario: the timed loop's last scenario depends on b.N.
+		firstOne, err := oneShot(subsetFiles[0])
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		if float64(paramRes.NsPerOp())*10 > float64(sessRes.NsPerOp()) {
 			// The race runtime's timing is not the code's: under the
@@ -243,7 +251,7 @@ func parametricRows(t *testing.T) []EstimatePerf {
 			NsPerOp:     float64(oneRes.NsPerOp()),
 			AllocsPerOp: float64(oneRes.AllocsPerOp()),
 		}
-		oneRow.FillFromEstimate(lastOne)
+		oneRow.FillFromEstimate(firstOne)
 		rows = append(rows, paramRow, sessRow, oneRow)
 		t.Logf("%s: parametric %d ns/op (%d regions) vs session-warm %d ns/op vs one-shot %d ns/op over %d points",
 			w.name, paramRes.NsPerOp(), sweepStats.ParamRegions, sessRes.NsPerOp(), oneRes.NsPerOp(), nPoints)

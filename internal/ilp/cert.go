@@ -52,4 +52,9 @@ type Certificate struct {
 	// point against every original row. The record is shared, read-only,
 	// by every certificate of its warm start.
 	Presolve *PresolveRecord
+	// Phase1 marks the final basis of a cold phase 1 that ended with
+	// artificial mass left (SolveSeed). It proves no optimum, so Verify
+	// rejects it; its phase-1 duals are a candidate Farkas certificate of
+	// infeasibility, which certify.DerivePiece checks.
+	Phase1 bool
 }

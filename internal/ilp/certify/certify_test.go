@@ -168,7 +168,7 @@ func TestCertifyWarmPath(t *testing.T) {
 		}
 		for s := 0; s < 4; s++ {
 			set := randomDelta(rng, base.NumVars)
-			r := w.SolveSetOpts(set, ilp.SetSolveOptions{WantCert: true})
+			r := solveSet(w, set, ilp.SetSolveOptions{WantCert: true})
 			if !r.OK || r.Status != ilp.Optimal || r.Cert == nil {
 				continue
 			}
@@ -545,7 +545,9 @@ func sparseSystem(seed int64, n, shape int, large, fractional bool) ([][]*big.Ra
 // the solution, and every returned value must be in canonical form
 // (promoted exactly when it does not fit int64). The sparse rows are given
 // with split and explicit-zero entries, which solveSparse must merge and
-// drop.
+// drop. A second right-hand side, -3 times the first, rides along: the
+// solve eliminates once for both, so its solution must be -3 times the
+// first exactly.
 func FuzzSparseSolve(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(shapeRandom))
 	f.Add(int64(2), uint8(9), uint8(shapeSingular))
@@ -581,7 +583,11 @@ func FuzzSparseSolve(f *testing.F) {
 				}
 			}
 		}
-		got, ok := solveSparse(rows, rhs)
+		scaled := make([]num, n)
+		for i := range rhs {
+			scaled[i] = mul(numInt(-3), rhs[i])
+		}
+		z, ok := solveSparse(rows, rhs, scaled)
 		want, wantOK := gaussSolve(A, b)
 		if ok != wantOK {
 			t.Fatalf("n=%d shape=%d: sparse nonsingular=%v, dense nonsingular=%v", n, kind, ok, wantOK)
@@ -592,7 +598,11 @@ func FuzzSparseSolve(f *testing.F) {
 		if !ok {
 			return
 		}
+		got := z[0]
 		for i := range want {
+			if z[1][i].bigView().Cmp(new(big.Rat).Mul(big.NewRat(-3, 1), want[i])) != 0 {
+				t.Fatalf("n=%d shape=%d: second right-hand side z[%d] = %s, want -3·%s", n, kind, i, z[1][i], want[i].RatString())
+			}
 			if got[i].bigView().Cmp(want[i]) != 0 {
 				t.Fatalf("n=%d shape=%d: z[%d] = %s, want %s", n, kind, i, got[i], want[i].RatString())
 			}

@@ -2,7 +2,9 @@
 // kernels: it re-checks a reported optimum against the optimal-basis
 // certificate the solver emitted (ilp.Certificate), entirely in exact
 // rational arithmetic, and provides an exact rational simplex fallback for
-// solves the certificate cannot vouch for.
+// solves the certificate cannot vouch for. It also derives the pieces of
+// ipet's parametric formulas exactly from the bases of their seed solves
+// (DerivePiece).
 //
 // The checker's scalar is num: an int64 fraction that promotes a value to
 // math/big.Rat when an operation would overflow, so the small integer rows

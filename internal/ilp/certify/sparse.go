@@ -8,8 +8,10 @@ type sparseRow struct {
 	vals []num
 }
 
-// solveSparse solves A·z = rhs exactly for the square matrix whose rows are
-// a, consuming a and rhs. It returns ok=false exactly when A is singular.
+// solveSparse solves A·z = b exactly for the square matrix whose rows are
+// a and every right-hand side b in rhs, consuming a and rhs. The matrix is
+// eliminated once for all of them; z[k] solves the k-th. It returns
+// ok=false exactly when A is singular.
 //
 // Elimination runs in Markowitz order: each step pivots on the active
 // column with the fewest nonzeros in the active rows, in the shortest
@@ -20,7 +22,7 @@ type sparseRow struct {
 // An active column with no nonzero left proves A singular. Back
 // substitution then runs over the pivot rows in reverse order: a pivot row
 // holds only its own column and columns pivoted after it.
-func solveSparse(a []sparseRow, rhs []num) ([]num, bool) {
+func solveSparse(a []sparseRow, rhs ...[]num) ([][]num, bool) {
 	e := newElim(a, rhs)
 	m := len(a)
 	pivRow := make([]int, m) // pivRow[k] pivots column pivCol[k]
@@ -33,19 +35,23 @@ func solveSparse(a []sparseRow, rhs []num) ([]num, bool) {
 		pivRow[k], pivCol[k] = e.pivot(c), c
 	}
 
-	z := make([]num, m)
-	for k := m - 1; k >= 0; k-- {
-		r, c := pivRow[k], pivCol[k]
-		s := rhs[r]
-		var pv num
-		for i, j := range a[r].cols {
-			if j == c {
-				pv = a[r].vals[i]
-				continue
+	z := make([][]num, len(rhs))
+	for v, b := range rhs {
+		zv := make([]num, m)
+		for k := m - 1; k >= 0; k-- {
+			r, c := pivRow[k], pivCol[k]
+			s := b[r]
+			var pv num
+			for i, j := range a[r].cols {
+				if j == c {
+					pv = a[r].vals[i]
+					continue
+				}
+				s = sub(s, mul(a[r].vals[i], zv[j]))
 			}
-			s = sub(s, mul(a[r].vals[i], z[j]))
+			zv[c] = quo(s, pv)
 		}
-		z[c] = quo(s, pv)
+		z[v] = zv
 	}
 	return z, true
 }
@@ -53,7 +59,7 @@ func solveSparse(a []sparseRow, rhs []num) ([]num, bool) {
 // elim is the state of one sparse elimination.
 type elim struct {
 	a   []sparseRow
-	rhs []num
+	rhs [][]num // the right-hand sides, eliminated alongside a
 	// colCount[j] counts the nonzeros of column j in the active rows;
 	// colRows[j] lists every row that has held column j (entries go stale
 	// when they cancel or their row is pivoted, and are re-checked).
@@ -71,7 +77,7 @@ type elim struct {
 	where []int
 }
 
-func newElim(a []sparseRow, rhs []num) *elim {
+func newElim(a []sparseRow, rhs [][]num) *elim {
 	m := len(a)
 	ints := make([]int, 4*m)
 	e := &elim{
@@ -164,7 +170,9 @@ func (e *elim) pivot(c int) int {
 		}
 		if i := indexOf(e.a[r].cols, c); i >= 0 {
 			f := quo(e.a[r].vals[i], pv)
-			e.rhs[r] = sub(e.rhs[r], mul(f, e.rhs[pr]))
+			for _, b := range e.rhs {
+				b[r] = sub(b[r], mul(f, b[pr]))
+			}
 			e.subtract(r, prow, c, f)
 		}
 	}

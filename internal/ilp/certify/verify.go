@@ -55,6 +55,9 @@ func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 	if cert == nil {
 		return nil, fmt.Errorf("certify: no certificate")
 	}
+	if cert.Phase1 {
+		return nil, fmt.Errorf("certify: a phase-1 basis proves no optimum")
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -91,13 +94,45 @@ func Verify(p *ilp.Problem, cert *ilp.Certificate) (*Result, error) {
 // sense; auxiliary columns cost nothing). It returns the basic solution,
 // xB[i] the value of column basis[i].
 func checkBasis(sf *stdForm, basis []int, c []num) ([]num, error) {
+	pos, err := basisPositions(sf, basis)
+	if err != nil {
+		return nil, err
+	}
+	// The basis matrix B (column i = standard-form column basis[i]) and its
+	// transpose, both sparse, and the right-hand side. Both copies are
+	// built up front: solveSparse consumes its matrix.
+	B, Bt := basisMatrices(sf, pos)
+	b := make([]num, sf.m)
+	for r := range sf.rows {
+		b[r] = sf.rows[r].rhs
+	}
+	z, ok := solveSparse(B, b)
+	if !ok {
+		return nil, fmt.Errorf("certify: basis matrix is singular")
+	}
+	xB := z[0]
+	for i, v := range xB {
+		if v.sign() < 0 {
+			return nil, fmt.Errorf("certify: basic variable for column %d is negative (%s)", basis[i], v)
+		}
+	}
+	if err := checkDual(sf, basis, pos, Bt, c); err != nil {
+		return nil, err
+	}
+	return xB, nil
+}
+
+// basisPositions checks that basis names one distinct in-range column of sf
+// per row and returns its inverse: pos[j] is column j's basis position, -1
+// when j is nonbasic.
+func basisPositions(sf *stdForm, basis []int) ([]int, error) {
 	if sf.m == 0 {
 		return nil, fmt.Errorf("certify: problem has no rows; no basis to check")
 	}
 	if len(basis) != sf.m {
 		return nil, fmt.Errorf("certify: basis names %d rows, standard form has %d", len(basis), sf.m)
 	}
-	pos := make([]int, sf.total) // column -> basis position, -1 when nonbasic
+	pos := make([]int, sf.total)
 	for j := range pos {
 		pos[j] = -1
 	}
@@ -110,27 +145,14 @@ func checkBasis(sf *stdForm, basis []int, c []num) ([]num, error) {
 		}
 		pos[j] = i
 	}
+	return pos, nil
+}
 
-	// The basis matrix B (column i = standard-form column basis[i]) and its
-	// transpose, both sparse, and the right-hand side. Both copies are
-	// built up front: solveSparse consumes its matrix.
-	B, Bt := basisMatrices(sf, pos)
-	b := make([]num, sf.m)
-	for r := range sf.rows {
-		b[r] = sf.rows[r].rhs
-	}
-	xB, ok := solveSparse(B, b)
-	if !ok {
-		return nil, fmt.Errorf("certify: basis matrix is singular")
-	}
-	for i, v := range xB {
-		if v.sign() < 0 {
-			return nil, fmt.Errorf("certify: basic variable for column %d is negative (%s)", basis[i], v)
-		}
-	}
-
-	// Dual prices y solve Bᵀy = c_B; reduced costs must be nonpositive on
-	// every admissible (non-artificial) nonbasic column.
+// checkDual checks the optimality half of a basis: the dual prices y solve
+// Bᵀy = c_B, and no admissible (non-artificial) nonbasic column may have a
+// positive reduced cost c_j − yᵀA_j. Bt holds the rows of Bᵀ and is
+// consumed.
+func checkDual(sf *stdForm, basis, pos []int, Bt []sparseRow, c []num) error {
 	cost := func(j int) num {
 		if j < len(c) {
 			return c[j]
@@ -141,10 +163,24 @@ func checkBasis(sf *stdForm, basis []int, c []num) ([]num, error) {
 	for r := range cB {
 		cB[r] = cost(basis[r])
 	}
-	y, ok := solveSparse(Bt, cB)
+	z, ok := solveSparse(Bt, cB)
 	if !ok {
-		return nil, fmt.Errorf("certify: basis matrix is singular (dual)")
+		return fmt.Errorf("certify: basis matrix is singular (dual)")
 	}
+	yA := priceColumns(sf, z[0])
+	for j := 0; j < sf.total; j++ {
+		if sf.isArt[j] || pos[j] >= 0 {
+			continue
+		}
+		if cj := cost(j); cmp(cj, yA[j]) > 0 {
+			return fmt.Errorf("certify: nonbasic column %d has positive reduced cost %s; basis is not optimal", j, sub(cj, yA[j]))
+		}
+	}
+	return nil
+}
+
+// priceColumns returns yᵀA_j for every standard-form column j of sf.
+func priceColumns(sf *stdForm, y []num) []num {
 	yA := make([]num, sf.total)
 	for r := range sf.rows {
 		if y[r].isZero() {
@@ -154,15 +190,7 @@ func checkBasis(sf *stdForm, basis []int, c []num) ([]num, error) {
 			yA[col] = add(yA[col], mul(y[r], sf.rows[r].vals[k]))
 		}
 	}
-	for j := 0; j < sf.total; j++ {
-		if sf.isArt[j] || pos[j] >= 0 {
-			continue
-		}
-		if cj := cost(j); cmp(cj, yA[j]) > 0 {
-			return nil, fmt.Errorf("certify: nonbasic column %d has positive reduced cost %s; basis is not optimal", j, sub(cj, yA[j]))
-		}
-	}
-	return xB, nil
+	return yA
 }
 
 // checkPoint verifies that x is a feasible point of p — nonnegative, every

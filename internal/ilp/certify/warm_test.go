@@ -53,6 +53,15 @@ func randomDelta(rng *rand.Rand, n int) []ilp.Constraint {
 	return set
 }
 
+// solveSet lowers every row of set into w and solves them warm.
+func solveSet(w *ilp.WarmStart, set []ilp.Constraint, opts ilp.SetSolveOptions) ilp.SetSolution {
+	rows := make([]*ilp.WarmRow, len(set))
+	for i := range set {
+		rows[i] = w.LowerRow(&set[i])
+	}
+	return w.SolveRows(rows, opts)
+}
+
 // TestPresolvedCertificatesDifferential: on random presolvable bases every
 // warm certificate the presolved warm start emits must verify through the
 // base's checker, and its exact objective must equal the exact optimum of
@@ -73,7 +82,7 @@ func TestPresolvedCertificatesDifferential(t *testing.T) {
 		}
 		for s := 0; s < 4; s++ {
 			set := randomDelta(rng, base.NumVars)
-			r := w.SolveSetOpts(set, ilp.SetSolveOptions{WantCert: true})
+			r := solveSet(w, set, ilp.SetSolveOptions{WantCert: true})
 			if !r.OK || r.Status != ilp.Optimal {
 				continue
 			}
@@ -198,7 +207,7 @@ func TestWarmCheckerRejectsTamperedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := []ilp.Constraint{cn(map[int]float64{2: 1, 4: 1}, ilp.LE, 4)}
-	sol := w.SolveSetOpts(set, ilp.SetSolveOptions{WantCert: true})
+	sol := solveSet(w, set, ilp.SetSolveOptions{WantCert: true})
 	if !sol.OK || sol.Status != ilp.Optimal || sol.Cert == nil {
 		t.Fatalf("set solve: %+v", sol)
 	}

@@ -79,7 +79,7 @@ func TestZeroObjective(t *testing.T) {
 	if sol.Status != Optimal || sol.Objective != 0 {
 		t.Fatalf("sol = %+v", sol)
 	}
-	if !p.Feasible(sol.Values, 1e-9) {
+	if !p.feasible(sol.Values, 1e-9) {
 		t.Fatalf("infeasible point %v", sol.Values)
 	}
 }

@@ -152,7 +152,7 @@ func TestSparseDenseDifferential(t *testing.T) {
 			if math.Abs(obj-dObj) > 1e-6 {
 				t.Fatalf("fixture %d: sparse obj %v, dense %v\n%s", i, obj, dObj, p)
 			}
-			if !p.Feasible(x, 1e-6) {
+			if !p.feasible(x, 1e-6) {
 				t.Fatalf("fixture %d: sparse optimum infeasible: %v\n%s", i, x, p)
 			}
 		}
@@ -170,7 +170,7 @@ func TestSparseDenseDifferential(t *testing.T) {
 			if math.Abs(pobj-dObj) > 1e-6 {
 				t.Fatalf("fixture %d (packed): obj %v, dense %v\n%s", i, pobj, dObj, p)
 			}
-			if !packed.Feasible(px, 1e-6) {
+			if !packed.feasible(px, 1e-6) {
 				t.Fatalf("fixture %d (packed): optimum infeasible: %v", i, px)
 			}
 		}

@@ -30,8 +30,9 @@ var faultInjector atomic.Pointer[func(FaultSite, float64) float64]
 // FaultSite of the production solver paths (pass nil to remove it). It is a
 // test-only hook: tests inject controlled numeric faults and assert that
 // certification (package certify, via ipet.Options.Certify) rejects the
-// corrupted result and the exact fallback recovers the true bound. The
-// injector is process-global, so tests using it must not run in parallel
+// corrupted result and the exact fallback recovers the true bound, or that
+// the exact derivation of parametric pieces (certify.DerivePiece) refuses
+// the basis a corrupted seed solve ended on. The injector is process-global, so tests using it must not run in parallel
 // with other solver tests, and must not enable SetSelfCheck (the dense
 // oracle is unfaulted and the differential would panic by design).
 func SetFaultInjector(f func(FaultSite, float64) float64) {

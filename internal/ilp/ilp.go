@@ -219,56 +219,6 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
-// Feasible reports whether x satisfies every constraint of p within tol.
-func (p *Problem) Feasible(x []float64, tol float64) bool {
-	if len(x) != p.NumVars {
-		return false
-	}
-	for _, v := range x {
-		if v < -tol {
-			return false
-		}
-	}
-	holds := func(lhs float64, rel Relation, rhs float64) bool {
-		switch rel {
-		case LE:
-			return lhs <= rhs+tol
-		case GE:
-			return lhs >= rhs-tol
-		default:
-			return math.Abs(lhs-rhs) <= tol
-		}
-	}
-	for _, r := range p.Prefix {
-		lhs := 0.0
-		for k, col := range r.Cols {
-			lhs += r.Vals[k] * x[col]
-		}
-		if !holds(lhs, r.Rel, r.RHS) {
-			return false
-		}
-	}
-	for _, c := range p.Constraints {
-		lhs := 0.0
-		for i, coef := range c.Coeffs {
-			lhs += coef * x[i]
-		}
-		if !holds(lhs, c.Rel, c.RHS) {
-			return false
-		}
-	}
-	return true
-}
-
-// EvalObjective computes the objective value at x.
-func (p *Problem) EvalObjective(x []float64) float64 {
-	v := 0.0
-	for i, coef := range p.Objective {
-		v += coef * x[i]
-	}
-	return v
-}
-
 // String renders the problem in LP-file-like form for debugging.
 func (p *Problem) String() string {
 	s := fmt.Sprintf("%s ", p.Sense)

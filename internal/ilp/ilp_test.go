@@ -150,7 +150,7 @@ func TestIntegerKnapsack(t *testing.T) {
 	if sol.Stats.Branches == 0 {
 		t.Fatal("expected branching")
 	}
-	if !p.Feasible(sol.Values, 1e-6) {
+	if !p.feasible(sol.Values, 1e-6) {
 		t.Fatalf("solution infeasible: %v", sol.Values)
 	}
 }
@@ -230,10 +230,10 @@ func bruteForce(p *Problem, ub int) (bool, float64, []float64) {
 	var rec func(i int)
 	rec = func(i int) {
 		if i == n {
-			if !p.Feasible(x, 1e-9) {
+			if !p.feasible(x, 1e-9) {
 				return
 			}
-			obj := p.EvalObjective(x)
+			obj := p.evalObjective(x)
 			if !found ||
 				(p.Sense == Maximize && obj > bestObj) ||
 				(p.Sense == Minimize && obj < bestObj) {
@@ -306,7 +306,7 @@ func TestRandomILPsAgainstBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: solver obj %v != brute force %v (values %v)\n%s",
 				trial, sol.Objective, wantObj, sol.Values, p)
 		}
-		if !p.Feasible(sol.Values, 1e-6) {
+		if !p.feasible(sol.Values, 1e-6) {
 			t.Fatalf("trial %d: solver values infeasible: %v\n%s", trial, sol.Values, p)
 		}
 	}
@@ -334,7 +334,7 @@ func TestRandomLPsSanity(t *testing.T) {
 		if sol.Status != Optimal {
 			t.Fatalf("trial %d: status %v\n%s", trial, sol.Status, p)
 		}
-		if !p.Feasible(sol.Values, 1e-6) {
+		if !p.feasible(sol.Values, 1e-6) {
 			t.Fatalf("trial %d: infeasible optimum\n%s", trial, p)
 		}
 		// Sample feasible points; none may beat the reported optimum.
@@ -343,7 +343,7 @@ func TestRandomLPsSanity(t *testing.T) {
 			for i := range x {
 				x[i] = float64(rng.Intn(9))
 			}
-			if p.Feasible(x, 1e-9) && p.EvalObjective(x) > sol.Objective+1e-6 {
+			if p.feasible(x, 1e-9) && p.evalObjective(x) > sol.Objective+1e-6 {
 				t.Fatalf("trial %d: point %v beats optimum %v\n%s", trial, x, sol.Objective, p)
 			}
 		}

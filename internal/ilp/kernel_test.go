@@ -92,7 +92,7 @@ func checkFlowAgainstDense(t *testing.T, seed int64, p *Problem) {
 	if math.Abs(r.obj-dObj) > 1e-6 {
 		t.Fatalf("seed %d: kernel obj %v, dense %v\n%s", seed, r.obj, dObj, p)
 	}
-	if !p.Feasible(r.x, 1e-6) {
+	if !p.feasible(r.x, 1e-6) {
 		t.Fatalf("seed %d: kernel optimum infeasible: %v\n%s", seed, r.x, p)
 	}
 	for j, v := range r.x {
@@ -145,7 +145,7 @@ func TestRevisedKernelMatchesOracles(t *testing.T) {
 			if math.Abs(r.obj-dObj) > 1e-6 {
 				t.Fatalf("fixture %d: revised obj %v, dense %v\n%s", i, r.obj, dObj, p)
 			}
-			if !p.Feasible(r.x, 1e-6) {
+			if !p.feasible(r.x, 1e-6) {
 				t.Fatalf("fixture %d: revised optimum infeasible: %v\n%s", i, r.x, p)
 			}
 		}

@@ -1,32 +1,17 @@
 package ilp
 
-import (
-	"fmt"
-	"math"
-	"math/big"
-)
+import "fmt"
 
-// This file implements the RHS-parametric simplex behind ipet's parametric
-// WCET formulas: a Problem whose right-hand sides are affine in an integer
-// parameter vector θ is solved once per optimal basis, and each solve
-// returns a *piece* — a polyhedral region of parameter space together with
-// the affine optimum value the basis yields there.
-//
-// The construction is the classic one: for a fixed basis B the reduced
-// costs do not depend on θ (only b(θ) does), so a basis that is optimal at
-// the seed point θ0 stays optimal exactly where it stays primal feasible,
-// i.e. where every basic value of x_B(θ) = B⁻¹·b(θ) is nonnegative. Each
-// basic value is affine in θ, so the region is a conjunction of integer
-// affine inequalities and the optimum c_B·x_B(θ) is affine too.
-//
-// Soundness does not rest on float64 pivoting: after the float solve the
-// candidate affine table is rounded to integers and re-checked exactly in
-// rational arithmetic (B·C = [b0 | b1 … bK] by multiplication, no
-// inversion), the value row is recomputed exactly from the verified table,
-// and infeasible seeds yield an integer Farkas certificate that is likewise
-// checked exactly. A piece that fails any exact check is reported with
-// Exact=false and discarded by the caller, whose queries then fall back to
-// a concrete solve — never a wrong number.
+// This file holds the pieces of ipet's parametric WCET formulas and the
+// seed solve behind them. A Problem whose right-hand sides are affine in an
+// integer parameter vector θ is concretized at one seed point θ0
+// (Concretize) and solved there on the full-tableau kernel (SolveSeed); the
+// exact layer (certify.DerivePiece) turns the basis the solve ended on into
+// a *piece* — a polyhedral region of parameter space together with the
+// affine optimum value the basis yields there, or, for an infeasible seed,
+// a region its phase-1 duals prove infeasible. No float64 number of the
+// solve reaches a piece: the certificate contributes only basis column
+// indices, and everything else is rebuilt and derived in exact arithmetic.
 
 // ParamAffine is an integer affine form C0 + Σ Coef[k]·θ_k over the
 // parameter vector θ.
@@ -67,17 +52,11 @@ type ParamPiece struct {
 	// Feasible distinguishes an optimal-basis piece from an
 	// infeasibility-certificate piece.
 	Feasible bool
-	// Exact reports that the piece survived the exact rational re-check.
-	// Callers must discard pieces with Exact == false.
-	Exact bool
 	// Value is the optimum as an affine form of θ (Feasible pieces only).
 	Value ParamAffine
 	// Region is the piece's validity region: the conjunction of
 	// g(θ) >= 0 over all entries.
 	Region []ParamAffine
-	// Basis is the optimal basis in the cold standard-form column layout
-	// (certify.Verify-compatible), for Feasible pieces.
-	Basis []int
 }
 
 // Covers reports whether θ lies in the piece's region.
@@ -90,629 +69,42 @@ func (pc *ParamPiece) Covers(theta []int64) bool {
 	return true
 }
 
-// paramRound rounds a float64 tableau entry to the integer it should be,
-// rejecting values that are not convincingly integral. The tolerance is
-// loose on purpose: a wrong rounding is caught by the exact re-check, an
-// overly strict tolerance only costs coverage.
-func paramRound(v float64) (int64, bool) {
-	r := math.Round(v)
-	if math.Abs(v-r) > 1e-4+1e-8*math.Abs(v) {
-		return 0, false
+// Concretize returns p with its right-hand sides evaluated at the integer
+// point theta: constraint i's RHS becomes p.Constraints[i].RHS plus
+// Σ rhsCoef[i][k]·theta[k], a nil rhsCoef[i] leaving the row as it is. The
+// rows share p's coefficient maps.
+func Concretize(p *Problem, rhsCoef [][]int64, theta []int64) *Problem {
+	q := *p
+	q.Constraints = make([]Constraint, len(p.Constraints))
+	for i, c := range p.Constraints {
+		for k, coef := range rhsCoef[i] {
+			c.RHS += float64(coef) * float64(theta[k])
+		}
+		q.Constraints[i] = c
 	}
-	if math.Abs(r) >= float64(MaxExactCoeff) {
-		return 0, false
-	}
-	return int64(r), true
+	return &q
 }
 
-// SolveParametric solves the LP relaxation of p at the integer seed point
-// theta, where the RHS of constraint i is p.Constraints[i].RHS plus
-// Σ rhsCoef[i][k]·theta[k] (a nil rhsCoef[i] means a non-parametric row).
-// It returns the resulting piece (nil on Unbounded), the status at the
-// seed, and the pivot count. p.Prefix must be empty — callers unpack — and
-// p.Integer is ignored: integrality over the region follows from the
-// exactness checks, which only emit all-integer affine tables.
-func SolveParametric(p *Problem, nParams int, rhsCoef [][]int64, theta []int64) (*ParamPiece, Status, int, error) {
+// SolveSeed solves the LP relaxation of p (p.Integer is ignored) on the
+// full-tableau kernel and returns the status, the pivot count and a
+// certificate of either outcome: the optimal basis, or, when phase 1 ends
+// with artificial mass left, its final basis marked Phase1, whose phase-1
+// duals are a candidate infeasibility proof. The certificate is nil only
+// when p has no rows or the solve ended Unbounded.
+//
+// The kernel is fixed rather than routed: a parametric piece is the region
+// where the seed's final basis stays optimal, so the basis a solve ends on
+// shapes the formula, and the formula must not depend on the router.
+func SolveSeed(p *Problem) (Status, int, *Certificate, error) {
 	if err := p.Validate(); err != nil {
-		return nil, Infeasible, 0, err
+		return Infeasible, 0, nil, err
 	}
-	if len(p.Prefix) != 0 {
-		return nil, Infeasible, 0, fmt.Errorf("ilp: SolveParametric requires an unpacked problem (no Prefix rows)")
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	status, _, _, pivots := sparseSimplexOn(p, s)
+	var cert *Certificate
+	if status != Unbounded && s.m > 0 {
+		cert = &Certificate{Basis: append([]int(nil), s.basis[:s.m]...), Phase1: status == Infeasible}
 	}
-	if len(rhsCoef) != len(p.Constraints) {
-		return nil, Infeasible, 0, fmt.Errorf("ilp: rhsCoef has %d rows, problem has %d constraints", len(rhsCoef), len(p.Constraints))
-	}
-	if len(theta) != nParams {
-		return nil, Infeasible, 0, fmt.Errorf("ilp: seed point has %d coordinates, want %d", len(theta), nParams)
-	}
-
-	m := len(p.Constraints)
-	n := p.NumVars
-	K := nParams
-
-	// Lower to standard form exactly as the dense kernel and certify's
-	// coldForm do: sign-normalize each row by its RHS *at the seed point*
-	// (the sample problem handed to certify.Verify evaluates its RHS there
-	// too, so the layouts agree), then assign one slack per <=, surplus
-	// plus artificial per >=, artificial per =, in row order.
-	specs := make([]paramRowSpec, m)
-	rows := make([][]float64, m)
-	for i := range p.Constraints {
-		c := &p.Constraints[i]
-		row := make([]float64, n)
-		for j, v := range c.Coeffs {
-			row[j] = v
-		}
-		coef := make([]int64, K)
-		copy(coef, rhsCoef[i])
-		rhs0 := c.RHS
-		rhsAt := rhs0
-		for k := 0; k < K; k++ {
-			rhsAt += float64(coef[k]) * float64(theta[k])
-		}
-		rel := c.Rel
-		if rhsAt < 0 {
-			for j := range row {
-				row[j] = -row[j]
-			}
-			for k := range coef {
-				coef[k] = -coef[k]
-			}
-			rhs0, rhsAt = -rhs0, -rhsAt
-			switch rel {
-			case LE:
-				rel = GE
-			case GE:
-				rel = LE
-			}
-		}
-		rows[i] = row
-		specs[i] = paramRowSpec{rel: rel, rhs0: rhs0, rhsCoef: coef, rhsAt: rhsAt}
-	}
-
-	numSlack, numArt := 0, 0
-	for i := range specs {
-		switch specs[i].rel {
-		case LE:
-			numSlack++
-		case GE:
-			numSlack++
-			numArt++
-		case EQ:
-			numArt++
-		}
-	}
-	total := n + numSlack + numArt
-	artStart := n + numSlack
-	width := total + 1 + K // structural | numeric rhs at theta | K coef cols
-
-	tab := make([][]float64, m)
-	basis := make([]int, m)
-	initCol := make([]int, m) // the row's slack (LE) or artificial (GE/EQ)
-	// auxCol/auxVal record each row's slack/surplus entry for the exact
-	// checks, which need the pristine standard-form matrix after the
-	// tableau has been pivoted to bits.
-	auxCol := make([]int, m)
-	auxVal := make([]float64, m)
-	slackCol, artCol := n, artStart
-	for i := range rows {
-		r := make([]float64, width)
-		copy(r, rows[i])
-		r[total] = specs[i].rhsAt
-		for k := 0; k < K; k++ {
-			r[total+1+k] = float64(specs[i].rhsCoef[k])
-		}
-		auxCol[i] = -1
-		switch specs[i].rel {
-		case LE:
-			r[slackCol] = 1
-			basis[i] = slackCol
-			initCol[i] = slackCol
-			auxCol[i], auxVal[i] = slackCol, 1
-			slackCol++
-		case GE:
-			r[slackCol] = -1
-			auxCol[i], auxVal[i] = slackCol, -1
-			slackCol++
-			r[artCol] = 1
-			basis[i] = artCol
-			initCol[i] = artCol
-			artCol++
-		case EQ:
-			r[artCol] = 1
-			basis[i] = artCol
-			initCol[i] = artCol
-			artCol++
-		}
-		tab[i] = r
-	}
-
-	pivots := 0
-	pivot := func(row, col int) {
-		pivots++
-		pr := tab[row]
-		pv := pr[col]
-		for j := 0; j < width; j++ {
-			pr[j] /= pv
-		}
-		for i := range tab {
-			if i == row {
-				continue
-			}
-			f := tab[i][col]
-			if f == 0 {
-				continue
-			}
-			ri := tab[i]
-			for j := 0; j < width; j++ {
-				ri[j] -= f * pr[j]
-			}
-		}
-		basis[row] = col
-	}
-
-	// optimize mirrors the dense kernel's primal loop (same pricing, same
-	// Bland fallback, same ratio test on the numeric RHS column) and
-	// returns the final reduced-cost row, from which the Farkas dual is
-	// recovered on infeasibility.
-	optimize := func(obj []float64, allowed int) (bool, []float64) {
-		rc := make([]float64, total+1)
-		copy(rc, obj)
-		for i, b := range basis {
-			cb := obj[b]
-			if cb == 0 {
-				continue
-			}
-			ri := tab[i]
-			for j := 0; j <= total; j++ {
-				rc[j] -= cb * ri[j]
-			}
-		}
-		iter := 0
-		blandAfter := 50 * (m + total + 10)
-		for {
-			iter++
-			useBland := iter > blandAfter
-			bestCol := -1
-			bestVal := eps
-			for j := 0; j < allowed; j++ {
-				if rc[j] > eps {
-					if useBland {
-						bestCol = j
-						break
-					}
-					if rc[j] > bestVal {
-						bestVal = rc[j]
-						bestCol = j
-					}
-				}
-			}
-			if bestCol < 0 {
-				return true, rc
-			}
-			bestRow := -1
-			bestRatio := math.Inf(1)
-			for i := range tab {
-				a := tab[i][bestCol]
-				if a > eps {
-					ratio := tab[i][total] / a
-					if ratio < bestRatio-eps ||
-						(math.Abs(ratio-bestRatio) <= eps && (bestRow < 0 || basis[i] < basis[bestRow])) {
-						bestRatio = ratio
-						bestRow = i
-					}
-				}
-			}
-			if bestRow < 0 {
-				return false, rc
-			}
-			pivot(bestRow, bestCol)
-			f := rc[bestCol]
-			if f != 0 {
-				pr := tab[bestRow]
-				for j := 0; j <= total; j++ {
-					rc[j] -= f * pr[j]
-				}
-				rc[bestCol] = 0
-			}
-		}
-	}
-
-	// ratAt returns the exact standard-form entry A[row][col], zero when
-	// the row does not touch the column.
-	ratAt := func(row, col int) *big.Rat {
-		r := new(big.Rat)
-		if col < n {
-			if v := rows[row][col]; v != 0 {
-				r.SetFloat64(v)
-			}
-			return r
-		}
-		if col == auxCol[row] {
-			r.SetFloat64(auxVal[row])
-		} else if col == initCol[row] && col >= artStart {
-			r.SetInt64(1)
-		}
-		return r
-	}
-
-	// Phase 1.
-	if numArt > 0 {
-		obj1 := make([]float64, total+1)
-		for j := artStart; j < total; j++ {
-			obj1[j] = -1
-		}
-		ok, rc1 := optimize(obj1, total)
-		if !ok {
-			return nil, Infeasible, pivots, nil
-		}
-		sumArt := 0.0
-		for i, b := range basis {
-			if b >= artStart {
-				sumArt += tab[i][total]
-			}
-		}
-		if sumArt > feasTol {
-			piece := farkasPiece(m, n, K, artStart, specs, rows, auxCol, auxVal, initCol, rc1, theta)
-			return piece, Infeasible, pivots, nil
-		}
-		for i, b := range basis {
-			if b < artStart {
-				continue
-			}
-			done := false
-			for j := 0; j < artStart && !done; j++ {
-				if math.Abs(tab[i][j]) > eps {
-					pivot(i, j)
-					done = true
-				}
-			}
-		}
-	}
-
-	// Phase 2.
-	obj2 := make([]float64, total+1)
-	sign := 1.0
-	if p.Sense == Minimize {
-		sign = -1
-	}
-	for j, v := range p.Objective {
-		obj2[j] = sign * v
-	}
-	if ok, _ := optimize(obj2, artStart); !ok {
-		return nil, Unbounded, pivots, nil
-	}
-
-	piece := &ParamPiece{Feasible: true, Basis: append([]int(nil), basis...)}
-
-	// Round the affine basic-value table to integers: C[i] gives
-	// x_{basis[i]}(θ) = C0 + Σ Coef[k]·θ_k. The constant term is the
-	// numeric value minus the parametric part at the seed.
-	table := make([]ParamAffine, m)
-	exact := true
-	for i := range tab {
-		coefs := make([]int64, K)
-		c0f := tab[i][total]
-		for k := 0; k < K; k++ {
-			ck, ok := paramRound(tab[i][total+1+k])
-			if !ok {
-				exact = false
-				break
-			}
-			coefs[k] = ck
-			c0f -= float64(ck) * float64(theta[k])
-		}
-		if !exact {
-			break
-		}
-		c0, ok := paramRound(c0f)
-		if !ok {
-			exact = false
-			break
-		}
-		table[i] = ParamAffine{C0: c0, Coef: coefs}
-	}
-
-	// Exact re-check: B·C must reproduce [b0 | b1 … bK] row by row, where
-	// B is the basic column submatrix of the pristine standard form. This
-	// is a multiplication, not an inversion: if it holds, setting the
-	// basic variables to C(θ) and the rest to zero satisfies A·x = b(θ)
-	// for every θ, whether or not float64 pivoting was trustworthy.
-	if exact {
-		whichBasic := make([]int, total)
-		for j := range whichBasic {
-			whichBasic[j] = -1
-		}
-		for i, b := range basis {
-			whichBasic[b] = i
-		}
-		acc := new(big.Rat)
-		term := new(big.Rat)
-		want := new(big.Rat)
-	check:
-		for r := 0; r < m && exact; r++ {
-			// Collect the row's nonzero columns once.
-			var cols []int
-			for j := 0; j < n; j++ {
-				if rows[r][j] != 0 {
-					cols = append(cols, j)
-				}
-			}
-			if auxCol[r] >= 0 {
-				cols = append(cols, auxCol[r])
-			}
-			if initCol[r] >= artStart {
-				cols = append(cols, initCol[r])
-			}
-			for k := 0; k <= K; k++ {
-				acc.SetInt64(0)
-				for _, j := range cols {
-					i := whichBasic[j]
-					if i < 0 {
-						continue
-					}
-					var ci int64
-					if k == 0 {
-						ci = table[i].C0
-					} else {
-						ci = table[i].Coef[k-1]
-					}
-					if ci == 0 {
-						continue
-					}
-					term.SetInt64(ci)
-					term.Mul(term, ratAt(r, j))
-					acc.Add(acc, term)
-				}
-				if k == 0 {
-					want.SetFloat64(specs[r].rhs0)
-				} else {
-					want.SetInt64(specs[r].rhsCoef[k-1])
-				}
-				if acc.Cmp(want) != 0 {
-					exact = false
-					break check
-				}
-			}
-		}
-	}
-
-	// Value and region from the verified table.
-	if exact {
-		zc := make([]*big.Int, K+1)
-		for k := range zc {
-			zc[k] = new(big.Int)
-		}
-		t := new(big.Int)
-		for i, b := range basis {
-			if b >= n {
-				continue
-			}
-			cv := p.Objective[b]
-			ci, ok := paramRound(cv)
-			if !ok || float64(ci) != cv {
-				exact = false
-				break
-			}
-			if ci == 0 {
-				continue
-			}
-			t.SetInt64(table[i].C0).Mul(t, big.NewInt(ci))
-			zc[0].Add(zc[0], t)
-			for k := 0; k < K; k++ {
-				t.SetInt64(table[i].Coef[k]).Mul(t, big.NewInt(ci))
-				zc[k+1].Add(zc[k+1], t)
-			}
-		}
-		if exact {
-			val := ParamAffine{Coef: make([]int64, K)}
-			for k := 0; k <= K; k++ {
-				if !zc[k].IsInt64() {
-					exact = false
-					break
-				}
-				if k == 0 {
-					val.C0 = zc[k].Int64()
-				} else {
-					val.Coef[k-1] = zc[k].Int64()
-				}
-			}
-			piece.Value = val
-		}
-	}
-	if exact {
-		for i := range table {
-			aff := table[i]
-			constant := true
-			for _, c := range aff.Coef {
-				if c != 0 {
-					constant = false
-					break
-				}
-			}
-			if constant {
-				if aff.C0 < 0 {
-					exact = false // cannot happen for a verified table; bail
-					break
-				}
-				continue
-			}
-			piece.Region = append(piece.Region, aff)
-			if basis[i] >= artStart {
-				// A basic artificial must stay at zero over the whole
-				// region: add the mirrored inequality to pin it.
-				neg := ParamAffine{C0: -aff.C0, Coef: make([]int64, K)}
-				for k, c := range aff.Coef {
-					neg.Coef[k] = -c
-				}
-				piece.Region = append(piece.Region, neg)
-			}
-		}
-	}
-	piece.Exact = exact
-	return piece, Optimal, pivots, nil
-}
-
-// paramRowSpec is one sign-normalized standard-form row of the parametric
-// solve: relation, constant RHS term, parametric RHS coefficients, and the
-// RHS evaluated at the seed (>= 0 after normalization).
-type paramRowSpec struct {
-	rel     Relation
-	rhs0    float64
-	rhsCoef []int64
-	rhsAt   float64
-}
-
-// farkasPiece builds an infeasibility piece from the phase-1 reduced-cost
-// row: the dual y is read off the initial columns (slack for <=: y_i =
-// -rc[s_i]; artificial for >=/=: y_i = -1 - rc[a_i]), rounded to integers
-// and checked exactly — yᵀA_j >= 0 over every non-artificial column. Then
-// yᵀb(θ) < 0 proves infeasibility at θ, and with integer y and integer
-// RHS data that is exactly yᵀb(θ) <= -1.
-func farkasPiece(m, n, K, artStart int, specs []paramRowSpec, rows [][]float64, auxCol []int, auxVal []float64, initCol []int, rc1 []float64, theta []int64) *ParamPiece {
-	piece := &ParamPiece{Feasible: false}
-	yf := make([]float64, m)
-	for i := 0; i < m; i++ {
-		if initCol[i] >= artStart {
-			yf[i] = -1 - rc1[initCol[i]]
-		} else {
-			yf[i] = -rc1[initCol[i]]
-		}
-	}
-	// A Farkas certificate is a ray: scaling by a positive integer proves
-	// the same infeasibility. Phase-1 duals of integer-data rows are small
-	// rationals (loop rows like Σback - 30·Σentry give denominators of 30),
-	// so recover each as a fraction and scale the vector by the common
-	// denominator before rounding.
-	scale := int64(1)
-	for i := range yf {
-		if _, ok := paramRound(yf[i]); ok {
-			continue
-		}
-		den, ok := ratDenominator(yf[i])
-		if !ok {
-			return piece
-		}
-		if scale = lcm(scale, den); scale > maxFarkasScale {
-			return piece
-		}
-	}
-	y := make([]int64, m)
-	for i := 0; i < m; i++ {
-		yi, ok := paramRound(yf[i] * float64(scale))
-		if !ok {
-			return piece
-		}
-		y[i] = yi
-	}
-	// Exact Farkas check over the non-artificial columns.
-	colSum := make([]*big.Rat, artStart)
-	for j := range colSum {
-		colSum[j] = new(big.Rat)
-	}
-	term := new(big.Rat)
-	for i := 0; i < m; i++ {
-		if y[i] == 0 {
-			continue
-		}
-		yr := new(big.Rat).SetInt64(y[i])
-		for j := 0; j < n; j++ {
-			if rows[i][j] == 0 {
-				continue
-			}
-			term.SetFloat64(rows[i][j])
-			term.Mul(term, yr)
-			colSum[j].Add(colSum[j], term)
-		}
-		if auxCol[i] >= 0 {
-			term.SetFloat64(auxVal[i])
-			term.Mul(term, yr)
-			colSum[auxCol[i]].Add(colSum[auxCol[i]], term)
-		}
-	}
-	zero := new(big.Rat)
-	for j := range colSum {
-		if colSum[j].Cmp(zero) < 0 {
-			return piece
-		}
-	}
-	// β(θ) = yᵀb(θ) must be integral; the region is β(θ) <= -1.
-	beta0 := new(big.Rat)
-	for i := 0; i < m; i++ {
-		if y[i] == 0 {
-			continue
-		}
-		term.SetFloat64(specs[i].rhs0)
-		term.Mul(term, new(big.Rat).SetInt64(y[i]))
-		beta0.Add(beta0, term)
-	}
-	if !beta0.IsInt() || !beta0.Num().IsInt64() {
-		return piece
-	}
-	g := ParamAffine{C0: -beta0.Num().Int64() - 1, Coef: make([]int64, K)}
-	bk := new(big.Int)
-	t := new(big.Int)
-	for k := 0; k < K; k++ {
-		bk.SetInt64(0)
-		for i := 0; i < m; i++ {
-			if y[i] == 0 || specs[i].rhsCoef[k] == 0 {
-				continue
-			}
-			t.SetInt64(y[i]).Mul(t, big.NewInt(specs[i].rhsCoef[k]))
-			bk.Add(bk, t)
-		}
-		if !bk.IsInt64() {
-			return piece
-		}
-		g.Coef[k] = -bk.Int64()
-	}
-	// The seed itself must lie in the region (β(θ0) <= -1); rounding the
-	// float dual can in principle produce a valid certificate for some
-	// other part of parameter space, but a piece that does not cover its
-	// own seed is useless to the enumerator.
-	if g.At(theta) < 0 {
-		return piece
-	}
-	piece.Region = []ParamAffine{g}
-	piece.Exact = true
-	return piece
-}
-
-// maxFarkasScale caps the common denominator a Farkas dual is scaled by;
-// past it the float duals are too noisy to trust a rounding.
-const maxFarkasScale = int64(1) << 20
-
-// ratDenominator finds the smallest denominator d <= 2^16 with v·d
-// convincingly integral (a continued-fraction expansion of v).
-func ratDenominator(v float64) (int64, bool) {
-	const maxDen = int64(1) << 16
-	// Continued fractions on the fractional part: convergent denominators
-	// h-2, h-1 follow the standard recurrence.
-	x := v
-	var d0, d1 int64 = 1, 0
-	for iter := 0; iter < 64; iter++ {
-		a := math.Floor(x)
-		d0, d1 = d1, int64(a)*d1+d0
-		if d1 <= 0 || d1 > maxDen {
-			return 0, false
-		}
-		if _, ok := paramRound(v * float64(d1)); ok {
-			return d1, true
-		}
-		frac := x - a
-		if frac < 1e-12 {
-			return 0, false
-		}
-		x = 1 / frac
-	}
-	return 0, false
-}
-
-// lcm is the least common multiple of two positive int64s (no overflow
-// guard beyond the caller's cap).
-func lcm(a, b int64) int64 {
-	g := a
-	for x := b; x != 0; g, x = x, g%x {
-	}
-	return a / g * b
+	return status, pivots, cert, nil
 }

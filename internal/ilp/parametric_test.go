@@ -1,127 +1,6 @@
 package ilp
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
-
-// TestParametricAgainstDense enumerates parametric pieces of random
-// integer-data problems over a 1-D and 2-D parameter grid and checks every
-// claim against the dense oracle run on the concretized problem: a feasible
-// piece's affine value must equal the dense optimum at every covered grid
-// point, and an infeasibility piece must only cover points the dense solver
-// also rejects.
-func TestParametricAgainstDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(1234))
-	trials := 150
-	covered, solved := 0, 0
-	for trial := 0; trial < trials; trial++ {
-		n := 2 + rng.Intn(3)
-		p := &Problem{Sense: Sense(rng.Intn(2)), NumVars: n, Objective: map[int]float64{}}
-		for i := 0; i < n; i++ {
-			p.Objective[i] = float64(rng.Intn(11) - 5)
-			p.Constraints = append(p.Constraints, Constraint{
-				Coeffs: map[int]float64{i: 1}, Rel: LE, RHS: float64(1 + rng.Intn(6)),
-			})
-		}
-		for r := 0; r < 1+rng.Intn(3); r++ {
-			coeffs := map[int]float64{}
-			for i := 0; i < n; i++ {
-				if rng.Intn(2) == 0 {
-					coeffs[i] = float64(rng.Intn(7) - 3)
-				}
-			}
-			if len(coeffs) == 0 {
-				coeffs[0] = 1
-			}
-			p.Constraints = append(p.Constraints, Constraint{
-				Coeffs: coeffs, Rel: Relation(rng.Intn(3)), RHS: float64(rng.Intn(13) - 4),
-			})
-		}
-
-		// Make one or two rows RHS-parametric.
-		K := 1 + rng.Intn(2)
-		rhsCoef := make([][]int64, len(p.Constraints))
-		for picks := 0; picks < K; picks++ {
-			row := rng.Intn(len(p.Constraints))
-			coef := make([]int64, K)
-			coef[picks] = int64(1 + rng.Intn(3))
-			rhsCoef[row] = coef
-		}
-
-		// Enumerate pieces by walking the grid and solving at the first
-		// uncovered point, exactly as the ipet layer does.
-		lo, hi := int64(0), int64(6)
-		var pieces []*ParamPiece
-		grid := func(f func(theta []int64)) {
-			theta := make([]int64, K)
-			if K == 1 {
-				for a := lo; a <= hi; a++ {
-					theta[0] = a
-					f(theta)
-				}
-				return
-			}
-			for a := lo; a <= hi; a++ {
-				for b := lo; b <= hi; b++ {
-					theta[0], theta[1] = a, b
-					f(theta)
-				}
-			}
-		}
-		grid(func(theta []int64) {
-			for _, pc := range pieces {
-				if pc.Covers(theta) {
-					return
-				}
-			}
-			pc, _, _, err := SolveParametric(p, K, rhsCoef, theta)
-			solved++
-			if err != nil {
-				t.Fatalf("trial %d: SolveParametric: %v", trial, err)
-			}
-			if pc != nil && pc.Exact {
-				pieces = append(pieces, pc)
-			}
-		})
-
-		// Check every claim against the dense oracle.
-		grid(func(theta []int64) {
-			conc := &Problem{Sense: p.Sense, NumVars: p.NumVars, Objective: p.Objective}
-			for i, c := range p.Constraints {
-				cc := c
-				for k, coef := range rhsCoef[i] {
-					cc.RHS += float64(coef) * float64(theta[k])
-				}
-				conc.Constraints = append(conc.Constraints, cc)
-			}
-			st, obj, _, _ := denseSimplex(conc)
-			for _, pc := range pieces {
-				if !pc.Covers(theta) {
-					continue
-				}
-				covered++
-				if !pc.Feasible {
-					if st != Infeasible {
-						t.Fatalf("trial %d θ=%v: piece claims infeasible, dense says %v\n%s", trial, theta, st, p)
-					}
-					continue
-				}
-				if st != Optimal {
-					t.Fatalf("trial %d θ=%v: piece claims optimum, dense says %v\n%s", trial, theta, st, p)
-				}
-				if got, want := float64(pc.Value.At(theta)), obj; math.Abs(got-want) > 1e-6 {
-					t.Fatalf("trial %d θ=%v: piece value %v, dense optimum %v\n%s", trial, theta, got, want, p)
-				}
-			}
-		})
-	}
-	if covered == 0 {
-		t.Fatalf("no grid point was ever covered by a piece (%d parametric solves)", solved)
-	}
-	t.Logf("%d parametric solves, %d covered grid-point checks", solved, covered)
-}
+import "testing"
 
 // TestParamAffineAt pins the affine evaluation arithmetic.
 func TestParamAffineAt(t *testing.T) {

@@ -185,7 +185,7 @@ func TestPresolveWarmStartEquivalence(t *testing.T) {
 			}
 			set[i] = c
 		}
-		r := w.SolveSetOpts(set, SetSolveOptions{})
+		r := w.solveSet(set, SetSolveOptions{})
 		status, objv, x := r.Status, r.Objective, r.X
 		if !r.OK {
 			t.Fatalf("trial %d: warm path gave up", trial)
@@ -199,7 +199,7 @@ func TestPresolveWarmStartEquivalence(t *testing.T) {
 			if math.Abs(objv-cObj) > 1e-6 {
 				t.Fatalf("trial %d: warm obj %.9g, cold %.9g", trial, objv, cObj)
 			}
-			if !cold.Feasible(x, 1e-6) {
+			if !cold.feasible(x, 1e-6) {
 				t.Fatalf("trial %d: reconstructed point infeasible: %v", trial, x)
 			}
 		}

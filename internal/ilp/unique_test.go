@@ -137,8 +137,8 @@ func TestWarmStartUniqueAgainstCold(t *testing.T) {
 		}
 		for si := 0; si < 4; si++ {
 			set := tieDelta(rng, base)
-			plain := w.SolveSetOpts(set, SetSolveOptions{NoX: true})
-			r := w.SolveSetOpts(set, SetSolveOptions{})
+			plain := w.solveSet(set, SetSolveOptions{NoX: true})
+			r := w.solveSet(set, SetSolveOptions{})
 			if !r.OK || !plain.OK {
 				t.Fatalf("trial %d set %d: warm solve gave up", trial, si)
 			}

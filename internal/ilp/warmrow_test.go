@@ -192,14 +192,14 @@ func TestWarmRowsLoweredOnce(t *testing.T) {
 					opts := SetSolveOptions{Cutoff: float64(rng.Intn(40)), UseCutoff: rng.Intn(3) == 0,
 						WantCert: true, NoX: true}
 					got := w.SolveRows(rows, opts)
-					want := w.SolveSetOpts(set, opts)
+					want := w.solveSet(set, opts)
 					if got.Status != want.Status || math.Float64bits(got.Objective) != math.Float64bits(want.Objective) ||
 						got.Pivots != want.Pivots || got.Suspect != want.Suspect || got.OK != want.OK ||
 						got.XIntegral != want.XIntegral || !reflect.DeepEqual(got.Cert, want.Cert) {
 						t.Fatalf("trial %d set %d: rows lowered once %+v, lowered at solve time %+v", trial, si, got, want)
 					}
 					opts.NoX = false
-					if gx, wx := w.SolveRows(rows, opts).X, w.SolveSetOpts(set, opts).X; !sameBits(gx, wx) {
+					if gx, wx := w.SolveRows(rows, opts).X, w.solveSet(set, opts).X; !sameBits(gx, wx) {
 						t.Fatalf("trial %d set %d: assignment %v, lowered at solve time %v", trial, si, gx, wx)
 					}
 					compared++

@@ -207,31 +207,6 @@ type SetSolution struct {
 	OK bool
 }
 
-// SolveSetOpts re-solves the base problem with the given delta rows
-// appended, by dual simplex from the retained base optimum. It returns the
-// LP relaxation's result: the caller handles integrality (the root is
-// integral in this domain almost always; a fractional root falls back to
-// the cold branch-and-bound path).
-//
-// With opts.UseCutoff, opts.Cutoff is a bound in the problem's own sense:
-// the solve returns Dominated as soon as the (monotonically tightening)
-// dual bound proves the optimum is strictly worse than it — below it for
-// Maximize, above it for Minimize — without finishing the solve.
-//
-// OK false means the warm path gave up (anti-cycling iteration cap) and the
-// caller must re-solve cold; Pivots is still valid work performed.
-//
-// It lowers every row of the set for this one solve; callers that solve
-// many sets over a shared pool of rows lower each row once with LowerRow
-// and call SolveRows.
-func (w *WarmStart) SolveSetOpts(set []Constraint, opts SetSolveOptions) SetSolution {
-	rows := make([]*WarmRow, len(set))
-	for i := range set {
-		rows[i] = w.LowerRow(&set[i])
-	}
-	return w.SolveRows(rows, opts)
-}
-
 // WarmRow is one per-set delta constraint lowered into a warm start's
 // tableau once, so that every set it belongs to re-uses the work: the row
 // is substituted through the structural presolve (when active) into
@@ -362,8 +337,19 @@ func (w *WarmStart) eliminate(cols []int32, vals []float64, negate bool, rhs flo
 }
 
 // SolveRows re-solves the base problem with the given lowered rows
-// appended (see SolveSetOpts for the result's meaning). Every row must have
-// been lowered by this WarmStart.
+// appended, by dual simplex from the retained base optimum. Every row must
+// have been lowered by this WarmStart (LowerRow). It returns the LP
+// relaxation's result: the caller handles integrality (the root is integral
+// in this domain almost always; a fractional root falls back to the cold
+// branch-and-bound path).
+//
+// With opts.UseCutoff, opts.Cutoff is a bound in the problem's own sense:
+// the solve returns Dominated as soon as the (monotonically tightening)
+// dual bound proves the optimum is strictly worse than it — below it for
+// Maximize, above it for Minimize — without finishing the solve.
+//
+// OK false means the warm path gave up (anti-cycling iteration cap) and the
+// caller must re-solve cold; Pivots is still valid work performed.
 func (w *WarmStart) SolveRows(rows []*WarmRow, opts SetSolveOptions) SetSolution {
 	if !w.ok {
 		return SetSolution{Status: Infeasible}

@@ -101,7 +101,7 @@ func TestWarmStartAgainstCold(t *testing.T) {
 				Prefix: base.Prefix, Constraints: set,
 			}
 			cStatus, cObj, _, _ := simplex(cold)
-			r := w.SolveSetOpts(set, SetSolveOptions{})
+			r := w.solveSet(set, SetSolveOptions{})
 			status, obj, x := r.Status, r.Objective, r.X
 			if !r.OK {
 				t.Fatalf("trial %d set %d: warm solve gave up", trial, si)
@@ -113,7 +113,7 @@ func TestWarmStartAgainstCold(t *testing.T) {
 				if math.Abs(obj-cObj) > 1e-6 {
 					t.Fatalf("trial %d set %d: warm obj %.9g, cold %.9g", trial, si, obj, cObj)
 				}
-				if !cold.Feasible(x, 1e-6) {
+				if !cold.feasible(x, 1e-6) {
 					t.Fatalf("trial %d set %d: warm optimum violates constraints: %v", trial, si, x)
 				}
 			}
@@ -137,7 +137,7 @@ func TestWarmStartCutoff(t *testing.T) {
 			continue
 		}
 		set := randomDelta(rng, n)
-		r := w.SolveSetOpts(set, SetSolveOptions{})
+		r := w.solveSet(set, SetSolveOptions{})
 		if !r.OK || r.Status != Optimal {
 			continue
 		}
@@ -150,10 +150,10 @@ func TestWarmStartCutoff(t *testing.T) {
 		} else {
 			beyond, behind = obj-1, obj+1
 		}
-		if r := w.SolveSetOpts(set, SetSolveOptions{Cutoff: beyond, UseCutoff: true}); !r.OK || r.Status != Dominated {
+		if r := w.solveSet(set, SetSolveOptions{Cutoff: beyond, UseCutoff: true}); !r.OK || r.Status != Dominated {
 			t.Fatalf("trial %d: cutoff %.9g past optimum %.9g: status %v ok=%v", trial, beyond, obj, r.Status, r.OK)
 		}
-		r = w.SolveSetOpts(set, SetSolveOptions{Cutoff: behind, UseCutoff: true})
+		r = w.solveSet(set, SetSolveOptions{Cutoff: behind, UseCutoff: true})
 		if !r.OK || r.Status != Optimal || math.Abs(r.Objective-obj) > 1e-6 {
 			t.Fatalf("trial %d: cutoff %.9g behind optimum %.9g: status %v obj %.9g", trial, behind, obj, r.Status, r.Objective)
 		}
@@ -177,14 +177,14 @@ func TestWarmStartEmptyAndInfeasibleSets(t *testing.T) {
 	if !w.Ready() {
 		t.Fatalf("base not ready: %v", w.baseStatus)
 	}
-	r := w.SolveSetOpts(nil, SetSolveOptions{})
+	r := w.solveSet(nil, SetSolveOptions{})
 	if !r.OK || r.Status != Optimal || math.Abs(r.Objective-12) > 1e-6 || r.Pivots != 0 {
 		t.Fatalf("empty set: %v obj=%v pivots=%d ok=%v", r.Status, r.Objective, r.Pivots, r.OK)
 	}
 	if math.Abs(r.X[0]-4) > 1e-6 {
 		t.Fatalf("empty set values: %v", r.X)
 	}
-	r = w.SolveSetOpts([]Constraint{
+	r = w.solveSet([]Constraint{
 		c(map[int]float64{0: 1, 1: 1}, GE, 100),
 	}, SetSolveOptions{})
 	if !r.OK || r.Status != Infeasible {
@@ -192,7 +192,7 @@ func TestWarmStartEmptyAndInfeasibleSets(t *testing.T) {
 	}
 	// Equality deltas pin the optimum to an interior face: with x0 = 1 the
 	// binding row is x0 + 3 x1 <= 6, so x1 = 5/3 and the objective is 19/3.
-	r = w.SolveSetOpts([]Constraint{
+	r = w.solveSet([]Constraint{
 		c(map[int]float64{0: 1}, EQ, 1),
 	}, SetSolveOptions{})
 	if !r.OK || r.Status != Optimal || math.Abs(r.Objective-19.0/3) > 1e-6 {

@@ -16,15 +16,16 @@ import (
 // This file implements the parametric layer over the session machinery:
 // annotations may leave loop bounds and formula constants symbolic ("loop 1:
 // 1 .. n1", "x3 <= 5 n1"), and Session.Parametrize enumerates the optimal
-// bases of the resulting RHS-parametric ILPs (ilp.SolveParametric) into a
-// piecewise-linear closed form WCET(n1, …)/BCET(n1, …). Evaluating the form
-// at a concrete parameter point is a handful of integer multiply-adds —
+// bases of the resulting RHS-parametric ILPs into a piecewise-linear closed
+// form WCET(n1, …)/BCET(n1, …). Each enumeration seed is one float64 LP
+// solve at a parameter point (ilp.SolveSeed); the exact layer derives the
+// piece from the basis it ended on (certify.DerivePiece), checking that
+// basis in rational arithmetic whatever Options.Certify says. Evaluating the
+// form at a concrete parameter point is a handful of integer multiply-adds —
 // nanoseconds, no allocation — where a session-warm Estimate still pays a
-// simplex solve per constraint set. Every piece is exact by construction
-// (the ilp layer discards anything that fails its rational re-check, and
-// Options.Certify additionally re-verifies each piece's basis through the
-// certificate checker), and any query the pieces do not cover falls back to
-// a concrete warm-started solve — the formula can be incomplete, never wrong.
+// simplex solve per constraint set. A seed whose basis proves no piece
+// leaves a hole, and any query the pieces do not cover falls back to a
+// concrete warm-started solve — the formula can be incomplete, never wrong.
 
 // ParamSpec declares one parameter symbol and its integer domain. The
 // domain bounds both the region enumeration (seeds are drawn from the box)
@@ -53,9 +54,9 @@ type ParamStats struct {
 	// EnumSolves / EnumPivots measure the one-time parametric enumeration.
 	EnumSolves int
 	EnumPivots int
-	// RejectedPieces counts enumeration solves whose piece failed an exact
-	// re-check (or, under Certify, the certificate verification) and was
-	// discarded; their parameter points answer through the fallback.
+	// RejectedPieces counts enumeration solves whose basis the exact
+	// derivation refused (certify.DerivePiece); their parameter points
+	// answer through the fallback.
 	RejectedPieces int
 }
 
@@ -77,9 +78,9 @@ type ParamBound struct {
 	nsets   int
 	// dirs[0] answers WCET (Maximize), dirs[1] BCET (Minimize).
 	dirs [2]paramDir
-	// certified marks that Options.Certify was on and every retained
-	// feasible piece's basis was re-verified by the exact certificate
-	// checker at its seed point.
+	// certified marks that Options.Certify was on, so formula answers are
+	// reported Certified like the session's concrete ones. Every piece's
+	// basis is checked exactly either way.
 	certified bool
 
 	evals     atomic.Int64
@@ -91,8 +92,8 @@ type ParamBound struct {
 // params[k] is the value of Specs()[k].
 func (pb *ParamBound) Specs() []ParamSpec { return pb.specs }
 
-// Certified reports that every feasible piece was re-verified by the exact
-// certificate checker (Options.Certify).
+// Certified reports that the formula was built under Options.Certify. The
+// pieces are the same without it: each is derived exactly from its basis.
 func (pb *ParamBound) Certified() bool { return pb.certified }
 
 // Pieces returns the total piece count across both directions.
@@ -703,7 +704,7 @@ func (pb *ParamBound) enumerateSet(ctx context.Context, a *Analyzer, p *ilp.Prob
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		pc, status, pivots, err := ilp.SolveParametric(p, K, coefs, theta)
+		status, pivots, cert, err := ilp.SolveSeed(ilp.Concretize(p, coefs, theta))
 		solves++
 		st.EnumSolves++
 		st.EnumPivots += pivots
@@ -717,11 +718,8 @@ func (pb *ParamBound) enumerateSet(ctx context.Context, a *Analyzer, p *ilp.Prob
 			}
 			return false, fmt.Errorf("%s", msg)
 		}
-		if pc == nil || !pc.Exact || !pc.Covers(theta) {
-			st.RejectedPieces++
-			return false, nil
-		}
-		if pb.session.Opts.Certify && pc.Feasible && !verifyPieceAt(p, coefs, pc, theta) {
+		pc, err := certify.DerivePiece(p, coefs, theta, cert)
+		if err != nil {
 			st.RejectedPieces++
 			return false, nil
 		}
@@ -840,35 +838,4 @@ func floorDiv(a, b int64) int64 {
 		q--
 	}
 	return q
-}
-
-// verifyPieceAt re-verifies a feasible piece's basis through the exact
-// certificate checker at its seed point: the concretized problem plus the
-// piece's basis must certify exactly the value the piece's affine form
-// claims there. Dual feasibility (the optimality half of the certificate)
-// is independent of θ for a fixed basis, and the piece's region equals the
-// set of θ where the basis stays primal feasible, so a basis certified at
-// the seed is optimal across the whole region.
-func verifyPieceAt(p *ilp.Problem, coefs [][]int64, pc *ilp.ParamPiece, theta []int64) bool {
-	conc := &ilp.Problem{
-		Sense:       p.Sense,
-		NumVars:     p.NumVars,
-		Integer:     true,
-		Objective:   p.Objective,
-		Constraints: make([]ilp.Constraint, len(p.Constraints)),
-	}
-	for i, c := range p.Constraints {
-		if coefs[i] != nil {
-			for k, coef := range coefs[i] {
-				c.RHS += float64(coef) * float64(theta[k])
-			}
-		}
-		conc.Constraints[i] = c
-	}
-	res, err := certify.Verify(conc, &ilp.Certificate{Basis: pc.Basis})
-	if err != nil {
-		return false
-	}
-	v, ok := ratInt64(res.Objective)
-	return ok && v == pc.Value.At(theta)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cinderella/internal/constraint"
+	"cinderella/internal/ilp"
 )
 
 // concreteAt runs the fully concrete path for one parameter point: bind the
@@ -165,6 +166,84 @@ func check_data {
 	if est.WCET.Cycles != want.WCET.Cycles || est.BCET.Cycles != want.BCET.Cycles {
 		t.Fatalf("certified formula [%d, %d], concrete [%d, %d]",
 			est.BCET.Cycles, est.WCET.Cycles, want.BCET.Cycles, want.WCET.Cycles)
+	}
+}
+
+// TestParametrizeChecksEveryPiece corrupts the objective of the WCET seed
+// solves while an uncertified Parametrize runs: negating the positive
+// coefficients of the solver's internal maximization turns each WCET solve
+// into a BCET solve and leaves the BCET solves alone. The exact derivation
+// checks each piece's basis whatever Options.Certify says, so the bases
+// the corrupted solves end on are refused, and every answer the formula
+// gives — a piece's or the fallback's — still equals a fresh concrete
+// estimate.
+func TestParametrizeChecksEveryPiece(t *testing.T) {
+	prog := checkDataProgram(t)
+	opts := DefaultOptions()
+	refused := 0
+	for _, tc := range []struct {
+		annots string
+		spec   ParamSpec
+	}{
+		{`
+func check_data {
+    loop 1: 1 .. n1
+    (x4 = 0 & x6 = 1) | (x4 = 1 & x6 = 0)
+    x4 = x9
+}
+`, ParamSpec{Name: "n1", Lo: 1, Hi: 16}},
+		{`
+func check_data {
+    loop 1: 1 .. 10
+    (x4 = 0 & x6 = 1) | (x4 = 1 & x6 = 0)
+    x4 = x9
+    x2 = n1
+}
+`, ParamSpec{Name: "n1", Lo: 0, Hi: 14}},
+	} {
+		sess, err := Prepare(prog, "check_data", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pb, err := func() (*ParamBound, error) {
+			ilp.SetFaultInjector(func(s ilp.FaultSite, v float64) float64 {
+				if s == ilp.FaultObjective && v > 0 {
+					return -v
+				}
+				return v
+			})
+			defer ilp.SetFaultInjector(nil)
+			return sess.Parametrize(parseAnnots(t, tc.annots), []ParamSpec{tc.spec})
+		}()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := tc.spec.Lo; n <= tc.spec.Hi; n++ {
+			want, wantErr := concreteAt(t, tc.annots, map[string]int64{"n1": n}, opts)
+			if w, _, ok := pb.Eval([]int64{n}); ok && (wantErr != nil || w != want.WCET.Cycles) {
+				t.Errorf("n1=%d: formula WCET %d, concrete %v (err %v)", n, w, want, wantErr)
+			}
+			if b, _, ok := pb.EvalBCET([]int64{n}); ok && (wantErr != nil || b != want.BCET.Cycles) {
+				t.Errorf("n1=%d: formula BCET %d, concrete %v (err %v)", n, b, want, wantErr)
+			}
+			got, gotErr := pb.EstimateAt([]int64{n})
+			var gotInf, wantInf *InfeasibleError
+			switch {
+			case errors.As(gotErr, &gotInf) && errors.As(wantErr, &wantInf):
+			case gotErr != nil || wantErr != nil:
+				t.Errorf("n1=%d: formula err %v, concrete err %v", n, gotErr, wantErr)
+			case got.WCET.Cycles != want.WCET.Cycles || got.BCET.Cycles != want.BCET.Cycles:
+				t.Errorf("n1=%d: formula [%d, %d], concrete [%d, %d]",
+					n, got.BCET.Cycles, got.WCET.Cycles, want.BCET.Cycles, want.WCET.Cycles)
+			}
+		}
+		st := pb.Stats()
+		refused += st.RejectedPieces
+		t.Logf("%d seed solves, %d pieces kept, %d refused; %d formula answers, %d fallbacks",
+			st.EnumSolves, pb.Pieces(), st.RejectedPieces, st.FormulaEvals, st.ParamFallbacks)
+	}
+	if refused == 0 {
+		t.Error("no corrupted seed was refused")
 	}
 }
 
